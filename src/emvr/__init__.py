@@ -19,7 +19,7 @@ from .algorithms import (PerSampleStatStore, RunTrace, StepSchedule,
                          run_spider_em, run_spider_em_cv, run_spider_em_pl,
                          theoretical_step_size)
 from .gmm import (GmmParams, PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
-                  gmm_domain_check, gmm_m_step, gmm_nll, gmm_phi,
+                  gmm_m_step, gmm_nll, gmm_phi,
                   gmm_posterior, init_kmeans, init_random_responsibility,
                   load_params, save_params, scalar2_m_step, stats_from_params)
 from .data import (PcaTransform, gen_multivariate_mixture, gen_scalar_mixture,

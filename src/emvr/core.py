@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,13 @@ class Dataset:
         m2.setflags(write=False)
         self.second_moment = m2
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Row mean, computed on first use and cached; E-step kernels centre on it."""
+        mu = self.values.mean(axis=0)
+        mu.setflags(write=False)
+        return mu
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -105,13 +113,24 @@ class Model(ABC):
     * ``stat_dim`` — length q of the statistic vector.
     * ``sbar_rows`` — per-sample conditional expectations at the given
       parameters, one row per requested index (``indices=None`` means the
-      whole dataset, in order, without copying rows).
+      whole dataset, in order, without copying rows); only the iEM/FIEM
+      stores and :meth:`sbar_i` need the rows themselves.
+    * ``batch_mean`` — their average over ``indices``, the E-step of every
+      batch average and full pass.  Default: ``sbar_rows(...).sum(0) / m``;
+      plugins fuse it so no (m, q) row matrix is built.  A full sorted
+      batch must agree bitwise with ``indices=None``.
     * ``m_step`` — the fitted parameters for a statistic vector; must be a
       deterministic pure function and raise :class:`DomainError` outside
       its domain.
     * ``penalized_nll`` — the objective F at a parameter value.
     * ``domain_check`` — ``None`` if the M-step is defined at ``s``,
-      otherwise a short description of the violated constraint.
+      otherwise the violation tag of the :class:`DomainError` it raises.
+
+    Kernels that expand a quadratic ``|y - mu|^2`` must centre rows and
+    means on ``data.mean`` first: uncentred, the expanded terms grow with
+    the data's offset and cancel.  They are written for one BLAS thread
+    per process (``OPENBLAS_NUM_THREADS=1``): their BLAS calls are small,
+    and waking more threads costs more than it saves.
     """
 
     @property
@@ -127,8 +146,17 @@ class Model(ABC):
     @abstractmethod
     def penalized_nll(self, data: Dataset, params) -> float: ...
 
-    @abstractmethod
-    def domain_check(self, s: np.ndarray) -> str | None: ...
+    def domain_check(self, s: np.ndarray) -> str | None:
+        try:
+            self.m_step(s)
+        except DomainError as exc:
+            return exc.violation
+        return None
+
+    def batch_mean(self, data: Dataset, indices, params) -> np.ndarray:
+        """Average conditional expectation over ``indices`` (all rows if ``None``)."""
+        m = data.n if indices is None else len(indices)
+        return self.sbar_rows(data, indices, params).sum(axis=0) / m
 
     def sbar_i(self, data: Dataset, i: int, params) -> np.ndarray:
         """Conditional expectation of the statistics for sample ``i``."""
@@ -141,11 +169,10 @@ class Model(ABC):
     def checkpoint_stats(self, data: Dataset, params, want_nll: bool = True):
         """One monitoring pass: (full statistic average, objective).
 
-        Functionally ``(full average of sbar_rows, penalized_nll)``; plugins
+        Functionally ``(batch_mean over all rows, penalized_nll)``; plugins
         may fuse the two passes.  Costs n conditional expectations.
         """
-        rows = self.sbar_rows(data, None, params)
-        sbar = rows.sum(axis=0) / data.n
+        sbar = self.batch_mean(data, None, params)
         nll = self.penalized_nll(data, params) if want_nll else float("nan")
         return sbar, nll
 
@@ -202,19 +229,19 @@ def minibatch_stats(model: Model, data: Dataset, indices, params,
     """
     idx = _check_indices(indices, data.n)
     idx = np.sort(idx)
-    rows = model.sbar_rows(data, idx, params)
+    sbar = model.batch_mean(data, idx, params)
     if counters is not None:
         counters.ce += idx.size
-    return rows.sum(axis=0) / idx.size
+    return sbar
 
 
 def full_stats(model: Model, data: Dataset, params,
                counters: OracleCounters | None = None) -> np.ndarray:
     """Exact n-term average of the per-sample statistics, in index order."""
-    rows = model.sbar_rows(data, None, params)
+    sbar = model.batch_mean(data, None, params)
     if counters is not None:
         counters.ce += data.n
-    return rows.sum(axis=0) / data.n
+    return sbar
 
 
 def mstep(model: Model, s: np.ndarray, counters: OracleCounters | None = None):

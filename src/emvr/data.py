@@ -81,9 +81,7 @@ def pca_fit(data: Dataset, d_pc: int) -> PcaTransform:
     """Top principal components of the (1/n-normalized) sample covariance."""
     if not 1 <= d_pc <= data.dim:
         raise ValueError(f"d_pc must be in [1, {data.dim}], got {d_pc}")
-    X = data.values
-    mean = X.mean(axis=0)
-    Xc = X - mean
+    Xc = data.values - data.mean
     cov = Xc.T @ Xc / data.n
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:d_pc]
@@ -91,7 +89,7 @@ def pca_fit(data: Dataset, d_pc: int) -> PcaTransform:
     # sign convention: largest-magnitude loading positive, for stable output
     flip = comps[np.abs(comps).argmax(axis=0), np.arange(d_pc)] < 0
     comps = comps * np.where(flip, -1.0, 1.0)
-    return PcaTransform(mean=mean, components=comps,
+    return PcaTransform(mean=data.mean, components=comps,
                         explained_variance=np.maximum(evals[order], 0.0))
 
 

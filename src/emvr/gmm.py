@@ -13,8 +13,8 @@ Two concrete models:
 
 Numerics: posteriors and likelihoods go through the log domain with
 max-subtraction; the pooled covariance is carried as its Cholesky factor
-so positive-definiteness is enforced structurally and quadratic forms and
-log-determinants come from triangular solves.
+so positive-definiteness is enforced structurally, and quadratic forms
+are expanded after centring on the data mean (see :func:`gmm_log_joint`).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg.lapack import dtrtri
 
 from .core import Dataset, DomainError, Model, full_stats
 
@@ -81,7 +80,7 @@ class GmmParams:
         return self.cov_chol @ self.cov_chol.T
 
     def precision(self) -> np.ndarray:
-        li = solve_triangular(self.cov_chol, np.eye(self.dim), lower=True)
+        li = _chol_inv(self)
         return li.T @ li
 
     def log_det_cov(self) -> float:
@@ -102,33 +101,42 @@ class ScalarTwoGmmParams:
         object.__setattr__(self, "mu", mu)
 
 
-def split_stat(s: np.ndarray, g: int, p: int):
-    """Split a statistic vector into masses (g,) and moment blocks (g, p)."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (g + g * p,):
-        raise ValueError(f"statistic vector must have length {g + g * p}, got {s.shape}")
-    return s[:g], s[g:].reshape(g, p)
-
-
 def _chol_inv(params: GmmParams) -> np.ndarray:
     """Lower-triangular inverse of the covariance factor, cached per instance."""
     li = params.__dict__.get("_chol_inv")
     if li is None:
-        li = solve_triangular(params.cov_chol, np.eye(params.dim), lower=True,
-                              check_finite=False)
+        li, _ = dtrtri(params.cov_chol, lower=1)   # the diagonal is positive
         object.__setattr__(params, "_chol_inv", li)
     return li
 
 
-def gmm_log_joint(params: GmmParams, rows: np.ndarray) -> np.ndarray:
-    """log(alpha_l * N(mu_l, Sigma)[y]) for each row and component, (m, g)."""
+def gmm_log_joint(params: GmmParams, rows: np.ndarray, center: np.ndarray):
+    """Log-joint of each row and component, split as ``(a, r)``.
+
+    ``log(alpha_l N(mu_l, Sigma)[y_i]) = a[i, l] - r[i]`` with rows and means
+    whitened after centring, ``z = L^{-1}(x - center)``:
+    ``a = z_y z_mu^T - |z_mu|^2 / 2 + log alpha + log norm`` and ``r = |z_y|^2 / 2``.
+    Centring keeps the expanded terms of the order of the spread, not the offset.
+    """
+    li_t = _chol_inv(params).T
+    zy = (rows - center) @ li_t
+    zmu = (params.means - center) @ li_t
     log_norm = -0.5 * params.dim * _LOG_2PI - np.log(np.diag(params.cov_chol)).sum()
     with np.errstate(divide="ignore"):
-        log_w = np.log(params.weights)
-    diffs = rows[None, :, :] - params.means[:, None, :]          # (g, m, p)
-    z = diffs @ _chol_inv(params).T
-    quad = np.einsum("gmp,gmp->gm", z, z)
-    return (log_w + log_norm)[None, :] - 0.5 * quad.T
+        bias = np.log(params.weights) + log_norm - 0.5 * np.einsum("gp,gp->g", zmu, zmu)
+    a = zy @ zmu.T
+    a += bias
+    return a, 0.5 * np.einsum("mp,mp->m", zy, zy)
+
+
+def _softmax_rows(a: np.ndarray):
+    """Row-normalized ``exp(a)`` (in place of ``a``) and each row's log-sum-exp."""
+    mx = a.max(axis=1)
+    a -= mx[:, None]
+    np.exp(a, out=a)
+    denom = a.sum(axis=1)
+    a /= denom[:, None]
+    return a, np.log(denom) + mx
 
 
 def gmm_posterior(params: GmmParams, y: np.ndarray) -> np.ndarray:
@@ -138,23 +146,20 @@ def gmm_posterior(params: GmmParams, y: np.ndarray) -> np.ndarray:
     with max-subtraction.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return _posteriors(params, y[None, :])[0]
+    return _softmax_rows(gmm_log_joint(params, y[None, :], y)[0])[0][0]   # centred on y
 
 
-def _posteriors(params: GmmParams, rows: np.ndarray) -> np.ndarray:
-    lj = gmm_log_joint(params, rows)
-    lj -= lj.max(axis=1, keepdims=True)
-    post = np.exp(lj)
-    post /= post.sum(axis=1, keepdims=True)
-    return post
-
-
-def gmm_sbar_rows(params: GmmParams, rows: np.ndarray) -> np.ndarray:
-    """Per-sample statistic rows: posteriors then posterior-weighted observations."""
-    post = _posteriors(params, rows)
-    m = rows.shape[0]
-    weighted = post[:, :, None] * rows[:, None, :]
-    return np.concatenate([post, weighted.reshape(m, -1)], axis=1)
+def _gmm_pass(params: GmmParams, data: Dataset, indices, want_nll: bool,
+              include_norm_const: bool = True):
+    """One fused E-step pass: (statistic average over the rows, mean NLL)."""
+    rows = data.values if indices is None else data.values[indices]
+    a, r = gmm_log_joint(params, rows, data.mean)
+    post, lse = _softmax_rows(a)
+    sbar = np.concatenate([post.sum(axis=0), (post.T @ rows).reshape(-1)]) / rows.shape[0]
+    if not want_nll:
+        return sbar, float("nan")
+    nll = (r - lse).mean()
+    return sbar, float(nll if include_norm_const else nll - 0.5 * params.dim * _LOG_2PI)
 
 
 def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
@@ -167,10 +172,11 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
     """
     second_moment = np.asarray(second_moment, dtype=np.float64)
     p = second_moment.shape[0]
-    g, rem = divmod(np.asarray(s).size, 1 + p)
-    if rem != 0:
-        raise ValueError(f"statistic length {np.asarray(s).size} incompatible with p={p}")
-    masses, moments = split_stat(s, g, p)
+    s = np.asarray(s, dtype=np.float64)
+    g, rem = divmod(s.size, 1 + p)
+    if s.ndim != 1 or rem != 0:
+        raise ValueError(f"statistic shape {s.shape} incompatible with p={p}")
+    masses, moments = s[:g], s[g:].reshape(g, p)
     bad = np.flatnonzero(masses <= EMPTY_MASS_FLOOR)
     if bad.size:
         raise DomainError(f"component {bad[0]} has mass {masses[bad[0]]:.3e}",
@@ -186,35 +192,13 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
     return GmmParams(weights=weights, means=means, cov_chol=chol)
 
 
-def gmm_domain_check(s: np.ndarray, second_moment: np.ndarray) -> str | None:
-    """``None`` if the pooled-covariance M-step is defined at ``s``."""
-    second_moment = np.asarray(second_moment, dtype=np.float64)
-    p = second_moment.shape[0]
-    g = np.asarray(s).size // (1 + p)
-    masses, moments = split_stat(s, g, p)
-    bad = np.flatnonzero(masses <= EMPTY_MASS_FLOOR)
-    if bad.size:
-        return "empty component"
-    means = moments / masses[:, None]
-    cov = second_moment - (means * masses[:, None]).T @ means
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        return "degenerate covariance"
-    return None
-
-
 def gmm_nll(params: GmmParams, data: Dataset, include_norm_const: bool = True) -> float:
     """Mean negative log-likelihood of the mixture on ``data``.
 
     ``include_norm_const=False`` drops the additive ``(p/2) log(2 pi)``
     term, the reduced reporting convention some experiment logs use.
     """
-    lj = gmm_log_joint(params, data.values)
-    nll = -logsumexp(lj, axis=1).mean()
-    if not include_norm_const:
-        nll -= 0.5 * params.dim * _LOG_2PI
-    return float(nll)
+    return _gmm_pass(params, data, None, True, include_norm_const)[1]
 
 
 def gmm_phi(params: GmmParams) -> np.ndarray:
@@ -225,10 +209,10 @@ def gmm_phi(params: GmmParams) -> np.ndarray:
     """
     if (params.weights <= 0).any():
         raise DomainError("zero mixture weight has no finite log", violation="zero weight")
-    lc = params.cov_chol
-    z = solve_triangular(lc, params.means.T, lower=True)         # (p, g)
+    li = _chol_inv(params)
+    z = li @ params.means.T                                      # (p, g)
     quad = np.einsum("ij,ij->j", z, z)                           # mu^T Gamma mu
-    gamma_mu = solve_triangular(lc.T, z, lower=False).T          # (g, p)
+    gamma_mu = (li.T @ z).T                                      # (g, p)
     head = np.log(params.weights) - 0.5 * quad
     return np.concatenate([head, gamma_mu.reshape(-1)])
 
@@ -277,7 +261,12 @@ class PooledGmm(Model):
 
     def sbar_rows(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         rows = data.values if indices is None else data.values[indices]
-        return gmm_sbar_rows(params, rows)
+        post = _softmax_rows(gmm_log_joint(params, rows, data.mean)[0])[0]
+        weighted = post[:, :, None] * rows[:, None, :]
+        return np.concatenate([post, weighted.reshape(rows.shape[0], -1)], axis=1)
+
+    def batch_mean(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
+        return _gmm_pass(params, data, indices, want_nll=False)[0]
 
     def m_step(self, s: np.ndarray) -> GmmParams:
         return gmm_m_step(s, self.second_moment)
@@ -288,9 +277,6 @@ class PooledGmm(Model):
             include_norm_const = self.include_norm_const
         return gmm_nll(params, data, include_norm_const=include_norm_const)
 
-    def domain_check(self, s: np.ndarray) -> str | None:
-        return gmm_domain_check(s, self.second_moment)
-
     def natural_param(self, params: GmmParams) -> np.ndarray:
         return gmm_phi(params)
 
@@ -299,38 +285,7 @@ class PooledGmm(Model):
 
     def checkpoint_stats(self, data: Dataset, params: GmmParams,
                          want_nll: bool = True):
-        # fused monitoring pass: posteriors, statistic average and the
-        # likelihood all come from one log-joint evaluation
-        lj = gmm_log_joint(params, data.values)
-        mx = lj.max(axis=1, keepdims=True)
-        ex = np.exp(lj - mx)
-        denom = ex.sum(axis=1, keepdims=True)
-        post = ex / denom
-        masses = post.sum(axis=0) / data.n
-        moments = post.T @ data.values / data.n
-        sbar = np.concatenate([masses, moments.reshape(-1)])
-        if want_nll:
-            nll = float(-(np.log(denom[:, 0]) + mx[:, 0]).mean())
-            if not self.include_norm_const:
-                nll -= 0.5 * self.p * _LOG_2PI
-        else:
-            nll = float("nan")
-        return sbar, nll
-
-
-def scalar2_posterior_first(params: ScalarTwoGmmParams, y: np.ndarray,
-                            weights=(0.2, 0.8), variance: float = 1.0) -> np.ndarray:
-    """Posterior probability of component one for each scalar observation."""
-    mu1, mu2 = params.mu
-    w1, w2 = weights
-    d = (np.log(w1) - np.log(w2)
-         + (mu1 - mu2) * (2.0 * y - mu1 - mu2) / (2.0 * variance))
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ed = np.exp(d[~pos])
-    out[~pos] = ed / (1.0 + ed)
-    return out
+        return _gmm_pass(params, data, None, want_nll, self.include_norm_const)
 
 
 class ScalarTwoGmm(Model):
@@ -367,10 +322,45 @@ class ScalarTwoGmm(Model):
     def stat_dim(self) -> int:
         return 4
 
-    def sbar_rows(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
+    def _posterior(self, data: Dataset, indices, params: ScalarTwoGmmParams):
+        """Rows ``y``, ``p1 = P(z = 1 | y)``, ``y p1`` and ``softplus(-d) = -log p1``,
+        with ``d`` the log-odds of component one."""
         y = data.values[:, 0] if indices is None else data.values[indices, 0]
-        p1 = scalar2_posterior_first(params, y, self.weights, self.variance)
-        return np.column_stack([p1, 1.0 - p1, y * p1, y * (1.0 - p1)])
+        (mu1, mu2), (w1, w2), v = params.mu, self.weights, self.variance
+        d = np.log(w1) - np.log(w2) + (mu1 - mu2) * (2.0 * y - mu1 - mu2) / (2.0 * v)
+        sp = np.logaddexp(0.0, -d)
+        p1 = np.exp(-sp)   # a stable logistic
+        return y, p1, y * p1, sp
+
+    def _pass(self, data: Dataset, indices, params: ScalarTwoGmmParams, want_nll: bool,
+              include_norm_const: bool = True):
+        """One fused E-step pass: (statistic average over the rows, mean NLL).
+
+        The likelihood reuses the logistic's softplus:
+        ``log(w1 N1 + w2 N2) = log(w1 N1) + softplus(-d)``.
+        """
+        y, p1, yp1, sp = self._posterior(data, indices, params)
+        # the same four columns as sbar_rows, summed without stacking them
+        sbar = np.array([p1.sum(), (1.0 - p1).sum(), yp1.sum(), (y - yp1).sum()]) / y.size
+        if not want_nll:
+            return sbar, float("nan")
+        v = self.variance
+        l1 = np.log(self.weights[0]) - (y - params.mu[0]) ** 2 / (2.0 * v)
+        nll = -(l1 + sp).mean() + 0.5 * np.log(v)
+        if include_norm_const:
+            nll += 0.5 * _LOG_2PI
+        return sbar, float(nll)
+
+    def sbar_rows(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
+        y, p1, yp1, _ = self._posterior(data, indices, params)
+        return np.column_stack([p1, 1.0 - p1, yp1, y - yp1])
+
+    def batch_mean(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
+        return self._pass(data, indices, params, want_nll=False)[0]
+
+    def checkpoint_stats(self, data: Dataset, params: ScalarTwoGmmParams,
+                         want_nll: bool = True):
+        return self._pass(data, None, params, want_nll, self.include_norm_const)
 
     def m_step(self, s: np.ndarray) -> ScalarTwoGmmParams:
         return scalar2_m_step(s)
@@ -379,21 +369,7 @@ class ScalarTwoGmm(Model):
                       include_norm_const: bool | None = None) -> float:
         if include_norm_const is None:
             include_norm_const = self.include_norm_const
-        y = data.values[:, 0]
-        w1, w2 = self.weights
-        v = self.variance
-        l1 = np.log(w1) - (y - params.mu[0]) ** 2 / (2.0 * v)
-        l2 = np.log(w2) - (y - params.mu[1]) ** 2 / (2.0 * v)
-        nll = -np.logaddexp(l1, l2).mean() + 0.5 * np.log(v)
-        if include_norm_const:
-            nll += 0.5 * _LOG_2PI
-        return float(nll)
-
-    def domain_check(self, s: np.ndarray) -> str | None:
-        masses = np.asarray(s)[:2]
-        if (masses <= EMPTY_MASS_FLOOR).any():
-            return "empty component"
-        return None
+        return self._pass(data, None, params, True, include_norm_const)[1]
 
     def natural_param(self, params: ScalarTwoGmmParams) -> np.ndarray:
         v = self.variance
@@ -439,8 +415,6 @@ def init_random_responsibility(model: Model, data: Dataset, seed) -> np.ndarray:
     resp = rng.dirichlet(np.ones(g), size=data.n)
     masses = resp.mean(axis=0)
     weighted = resp.T @ data.values / data.n
-    if isinstance(model, ScalarTwoGmm):
-        return np.concatenate([masses, weighted[:, 0]])
     return np.concatenate([masses, weighted.reshape(-1)])
 
 

@@ -557,11 +557,12 @@ def _hitting_costs(algorithm: str, n: int, b: int, k_in: int | None,
 
     k_opt is the update count tau; k_ce counts post-initialization
     conditional expectations: full refreshes completed so far plus the
-    per-update batch cost of the algorithm.
+    per-update batch cost of the algorithm.  A nested method counts each
+    of its t - 1 refreshes in tau, at n rather than 2b.
     """
     t, _, tau = hit
     if algorithm in ("sem-vr", "spider-em", "spider-em-cv"):
-        return tau, n * (t - 1) + 2 * b * tau
+        return tau, n * (t - 1) + 2 * b * (tau - (t - 1))
     if algorithm == "fiem":
         return tau, 2 * b * tau
     if algorithm in ("online-em", "iem"):

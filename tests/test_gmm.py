@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal, norm
 
 from emvr import (Dataset, DomainError, GmmParams, PooledGmm, ScalarTwoGmm,
@@ -392,3 +393,61 @@ class TestSerialization:
         path.write_text("format = nonsense\n")
         with pytest.raises(ValueError):
             load_params(path)
+
+
+def _direct_difference_pass(params, rows):
+    """Per-component reference: whiten ``y - mu_l`` directly, no expansion."""
+    p = params.dim
+    lj = np.empty((rows.shape[0], params.n_components))
+    log_norm = -0.5 * p * np.log(2 * np.pi) - np.log(np.diag(params.cov_chol)).sum()
+    for ell, mu in enumerate(params.means):
+        z = solve_triangular(params.cov_chol, (rows - mu).T, lower=True)
+        lj[:, ell] = np.log(params.weights[ell]) + log_norm - 0.5 * (z * z).sum(axis=0)
+    mx = lj.max(axis=1, keepdims=True)
+    post = np.exp(lj - mx)
+    denom = post.sum(axis=1, keepdims=True)
+    post /= denom
+    nll = -(np.log(denom[:, 0]) + mx[:, 0]).mean()
+    return post.mean(axis=0), post.T @ rows / rows.shape[0], nll
+
+
+class TestBatchMean:
+    # a fixed non-diagonal covariance factor
+    CHOL = np.array([[1.3, 0.0, 0.0, 0.0],
+                     [0.4, 0.9, 0.0, 0.0],
+                     [-0.7, 0.2, 1.1, 0.0],
+                     [0.3, -0.5, 0.6, 0.8]])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_offset_data_matches_direct_difference(self, offset):
+        # the kernel expands the quadratic; centred on the data mean its
+        # terms stay of the order of the spread, so a large common offset
+        # must not show in the statistics
+        base = gen_multivariate_mixture(300, 3, 4, 3.0, seed=13)
+        data = Dataset(base.values + offset)
+        params = GmmParams(weights=np.array([0.2, 0.5, 0.3]),
+                           means=data.values[[3, 100, 250]], cov_chol=self.CHOL)
+        model = PooledGmm.from_data(3, data)
+        idx = np.sort(np.random.default_rng(0).integers(0, data.n, size=40))
+        sbar, nll = model.checkpoint_stats(data, params)
+        for got, rows in ((sbar, data.values),
+                          (model.batch_mean(data, idx, params), data.values[idx]),
+                          (model.batch_mean(data, None, params), data.values)):
+            masses, moments, ref_nll = _direct_difference_pass(params, rows)
+            assert np.abs(got[:3] - masses).max() <= 1e-9
+            assert np.abs(got[3:] - moments.reshape(-1)).max() <= 1e-9 * np.abs(moments).max()
+        assert nll == pytest.approx(ref_nll, abs=1e-9)
+        assert model.penalized_nll(data, params) == pytest.approx(ref_nll, abs=1e-9)
+
+    @pytest.mark.parametrize("indices", [None, [5, 5, 0, 17, 42, 3]])
+    def test_equals_row_mean(self, gmm_model, gmm_data, scalar_model, scalar_data, indices):
+        idx = None if indices is None else np.array(indices)
+        pairs = ((gmm_model, gmm_data, random_params(3, 2, 53)),
+                 (scalar_model, scalar_data, ScalarTwoGmmParams(mu=np.array([0.9, -0.6]))))
+        for model, data, params in pairs:
+            rows = model.sbar_rows(data, idx, params)
+            got = model.batch_mean(data, idx, params)
+            assert got.shape == (model.stat_dim,)
+            assert np.abs(got - rows.mean(axis=0)).max() <= 1e-13
+            sbar, _ = model.checkpoint_stats(data, params)
+            assert np.abs(sbar - model.sbar_rows(data, None, params).mean(axis=0)).max() <= 1e-13

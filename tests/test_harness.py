@@ -251,14 +251,35 @@ class TestComplexity:
         trials = est.trials_csv().splitlines()
         assert len(trials) == 5
 
-    def test_hitting_cost_formula_nested(self):
-        from emvr.harness import _hitting_costs
-        # hit at outer loop 3, inner update 7, tau = 2*k_in + 7
-        k_in = 10
-        tau = 2 * k_in + 7
-        k_opt, k_ce = _hitting_costs("spider-em", 1000, 4, k_in, (3, 7, tau))
-        assert k_opt == tau
-        assert k_ce == 1000 * 2 + 2 * 4 * tau
+    def test_hitting_cost_formula_nested(self, monkeypatch):
+        # k_ce must equal the trace's CE counter at the hit, minus the
+        # initial n-row pass; every hit here follows at least one refresh
+        from emvr import harness
+        traces = []
+        real = harness.run_single
+
+        def recording(*args, **kwargs):
+            traces.append(real(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(harness, "run_single", recording)
+        k_ce = {}
+        for algo, k_in, trials in (("spider-em", 500, 1), ("sem-vr", 200, 2),
+                                   ("spider-em", 200, 2), ("spider-em-cv", 200, 2)):
+            traces.clear()
+            cfg = ExperimentConfig(algorithms=(algo,), gamma=0.01, batch_size=2, k_in=k_in)
+            est = estimate_complexity(cfg, 2.5e-5, [1000], trials)
+            recs = est.rows[0]["trial_records"]
+            assert len(traces) == len(recs) == trials
+            for trace, rec in zip(traces, recs):
+                assert rec["hit"] and trace.hit[0] >= 2
+                at_hit = next(r for r in trace.records if (r.t, r.k, r.tau) == trace.hit)
+                assert rec["k_opt"] == trace.hit[2]
+                assert rec["k_ce"] == at_hit.ce - 1000
+            k_ce[algo, k_in] = recs[0]["k_ce"]
+        # trial 0 hits at (t, k, tau) = (2, 58, 558): one refresh and 557
+        # inner updates of 2b each
+        assert k_ce["spider-em", 500] == 1000 + 2 * 2 * 557 == 3228
 
     def test_validation(self):
         cfg = ExperimentConfig(algorithms=("spider-em",))
