@@ -41,6 +41,64 @@ class TestConfigParsing:
         assert cfg.batch_size == 8
         assert cfg.epochs == 4
 
+    def test_every_key_round_trips(self):
+        # every key of every section, each set away from its default
+        text = """
+[model]
+kind = gmm
+components = 3
+dim = 2
+weights = 0.3 0.7
+variance = 2.5
+[data]
+kind = file
+n = 500
+seed = 4
+means = 1.5 -1.5
+separation = 3.0
+path = points.csv
+format = packed-binary
+[init]
+kind = kmeans
+seed = 5
+means = 0.1 0.2
+[run]
+algorithms = online-em, spider-em
+seeds = 1, 2
+batch_size = 8
+k_in = 4
+k_out = 3
+k_max = 9
+epochs = 6
+epsilon = 1e-4
+warm_epochs = 2
+sampling = without-replacement
+metric = update
+snapshot = checkpoint
+include_norm_const = false
+jobs = 2
+max_divergence_rate = 0.25
+out_dir = elsewhere
+[steps]
+kind = inverse-sqrt
+gamma = 0.5
+coefficient = 2.0
+outer_gamma = 0.75
+"""
+        want = ExperimentConfig(
+            model_kind="gmm", components=3, dim=2, weights=(0.3, 0.7), variance=2.5,
+            data_kind="file", n=500, data_seed=4, means=(1.5, -1.5), separation=3.0,
+            data_path="points.csv", data_format="packed-binary", init_kind="kmeans",
+            init_seed=5, init_means=(0.1, 0.2), algorithms=("online-em", "spider-em"),
+            seeds=(1, 2), batch_size=8, k_in=4, k_out=3, k_max=9, epochs=6,
+            epsilon=1e-4, warm_epochs=2, sampling="without-replacement",
+            metric="update", snapshot="checkpoint", include_norm_const=False, jobs=2,
+            max_divergence_rate=0.25, out_dir="elsewhere", step_kind="inverse-sqrt",
+            gamma=0.5, step_coefficient=2.0, outer_gamma=0.75)
+        default = ExperimentConfig()
+        assert all(getattr(want, f) != getattr(default, f) for f in vars(default))
+        assert canonical_config(parse_config(text)) == canonical_config(want)
+
     def test_field_level_messages(self):
         with pytest.raises(ConfigError, match=r"\[run\] batch_size"):
             parse_config("[run]\nbatch_size = soon\nalgorithms = em\nk_max = 3\n")
