@@ -19,25 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import (RunTrace, StepSchedule, hybrid_warm_start, run_em,
-                         run_fiem, run_iem, run_online_em, run_sem_vr,
-                         run_spider_em, run_spider_em_cv, run_spider_em_pl)
+from .algorithms import (ESTIMATORS, RunTrace, StepSchedule, hybrid_warm_start,
+                         run_algorithm)
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    MinibatchSampler)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
 from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
                   init_kmeans, init_random_responsibility, stats_from_params)
 
-ALGORITHMS = ("em", "iem", "online-em", "fiem", "sem-vr", "spider-em",
-              "spider-em-cv", "spider-em-pl")
-NESTED = ("sem-vr", "spider-em", "spider-em-cv", "spider-em-pl")
+ALGORITHMS = tuple(ESTIMATORS)
+NESTED = tuple(name for name, est in ESTIMATORS.items() if est.refresh)
 CSV_COLUMNS = ("epoch", "t", "k", "tau", "W", "h_sq_norm", "ce_count",
                "mstep_count", "wall_ms", "status")
-
-# seed-stream tags: a second, independent minibatch stream and the
-# restart-length stream must never collide with the shared batch stream
-_EXTRA_STREAM_TAG = 1
-_RESTART_STREAM_TAG = 2
 
 
 class ConfigError(ValueError):
@@ -88,7 +81,39 @@ class ExperimentConfig:
     outer_gamma: float | None = None
 
 
-def _parse_scalar(section: str, key: str, raw: str, kind):
+def _list(kind):
+    """Parser of a comma- or space-separated list of ``kind`` values."""
+    def parse(raw: str) -> tuple:
+        return tuple(kind(v) for v in raw.replace(",", " ").split())
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
+# (section, key) -> (ExperimentConfig field, parser)
+_KEYS = {
+    "model": {"kind": ("model_kind", str), "components": ("components", int),
+              "dim": ("dim", int), "weights": ("weights", _list(float)),
+              "variance": ("variance", float)},
+    "data": {"kind": ("data_kind", str), "n": ("n", int), "seed": ("data_seed", int),
+             "means": ("means", _list(float)), "separation": ("separation", float),
+             "path": ("data_path", str), "format": ("data_format", str)},
+    "init": {"kind": ("init_kind", str), "seed": ("init_seed", int),
+             "means": ("init_means", _list(float))},
+    "run": {"algorithms": ("algorithms", _list(str)), "seeds": ("seeds", _list(int)),
+            "batch_size": ("batch_size", int), "k_in": ("k_in", int),
+            "k_out": ("k_out", int), "k_max": ("k_max", int), "epochs": ("epochs", int),
+            "epsilon": ("epsilon", float), "warm_epochs": ("warm_epochs", int),
+            "sampling": ("sampling", str), "metric": ("metric", str),
+            "snapshot": ("snapshot", str), "include_norm_const": ("include_norm_const", bool),
+            "jobs": ("jobs", int), "max_divergence_rate": ("max_divergence_rate", float),
+            "out_dir": ("out_dir", str)},
+    "steps": {"kind": ("step_kind", str), "gamma": ("gamma", float),
+              "coefficient": ("step_coefficient", float),
+              "outer_gamma": ("outer_gamma", float)},
+}
+
+
+def _parse(section: str, key: str, raw: str, kind):
     try:
         if kind is bool:
             low = raw.lower()
@@ -113,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("model", "data", "init", "run", "steps"):
+            if section not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if section is None:
@@ -131,86 +156,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _apply_key(cfg: ExperimentConfig, section: str, key: str, value: str) -> None:
-    s = section
-    if s == "model":
-        if key == "kind":
-            cfg.model_kind = value
-        elif key == "components":
-            cfg.components = _parse_scalar(s, key, value, int)
-        elif key == "dim":
-            cfg.dim = _parse_scalar(s, key, value, int)
-        elif key == "weights":
-            cfg.weights = tuple(float(v) for v in value.split())
-        elif key == "variance":
-            cfg.variance = _parse_scalar(s, key, value, float)
-        else:
-            raise ConfigError(f"[model] unknown key {key!r}")
-    elif s == "data":
-        if key == "kind":
-            cfg.data_kind = value
-        elif key == "n":
-            cfg.n = _parse_scalar(s, key, value, int)
-        elif key == "seed":
-            cfg.data_seed = _parse_scalar(s, key, value, int)
-        elif key == "means":
-            cfg.means = tuple(float(v) for v in value.split())
-        elif key == "separation":
-            cfg.separation = _parse_scalar(s, key, value, float)
-        elif key == "path":
-            cfg.data_path = value
-        elif key == "format":
-            cfg.data_format = value
-        else:
-            raise ConfigError(f"[data] unknown key {key!r}")
-    elif s == "init":
-        if key == "kind":
-            cfg.init_kind = value
-        elif key == "seed":
-            cfg.init_seed = _parse_scalar(s, key, value, int)
-        elif key == "means":
-            cfg.init_means = tuple(float(v) for v in value.split())
-        else:
-            raise ConfigError(f"[init] unknown key {key!r}")
-    elif s == "run":
-        if key == "algorithms":
-            cfg.algorithms = tuple(v.strip() for v in value.replace(",", " ").split())
-        elif key == "seeds":
-            cfg.seeds = tuple(int(v) for v in value.replace(",", " ").split())
-        elif key == "batch_size":
-            cfg.batch_size = _parse_scalar(s, key, value, int)
-        elif key in ("k_in", "k_out", "k_max", "epochs"):
-            setattr(cfg, key, _parse_scalar(s, key, value, int))
-        elif key == "epsilon":
-            cfg.epsilon = _parse_scalar(s, key, value, float)
-        elif key == "warm_epochs":
-            cfg.warm_epochs = _parse_scalar(s, key, value, int)
-        elif key == "sampling":
-            cfg.sampling = value
-        elif key == "metric":
-            cfg.metric = value
-        elif key == "snapshot":
-            cfg.snapshot = value
-        elif key == "include_norm_const":
-            cfg.include_norm_const = _parse_scalar(s, key, value, bool)
-        elif key == "jobs":
-            cfg.jobs = _parse_scalar(s, key, value, int)
-        elif key == "max_divergence_rate":
-            cfg.max_divergence_rate = _parse_scalar(s, key, value, float)
-        elif key == "out_dir":
-            cfg.out_dir = value
-        else:
-            raise ConfigError(f"[run] unknown key {key!r}")
-    elif s == "steps":
-        if key == "kind":
-            cfg.step_kind = value
-        elif key == "gamma":
-            cfg.gamma = _parse_scalar(s, key, value, float)
-        elif key == "coefficient":
-            cfg.step_coefficient = _parse_scalar(s, key, value, float)
-        elif key == "outer_gamma":
-            cfg.outer_gamma = _parse_scalar(s, key, value, float)
-        else:
-            raise ConfigError(f"[steps] unknown key {key!r}")
+    if key not in _KEYS[section]:
+        raise ConfigError(f"[{section}] unknown key {key!r}")
+    name, kind = _KEYS[section][key]
+    setattr(cfg, name, _parse(section, key, value, kind))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -236,7 +185,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         else:
             if cfg.epochs is None and cfg.k_max is None:
                 raise ConfigError(f"[run] {algo} needs k_max (or epochs)")
-        if algo != "em" and cfg.batch_size is None:
+        if not ESTIMATORS[algo].full_batch and cfg.batch_size is None:
             raise ConfigError(f"[run] {algo} needs batch_size")
     if cfg.k_in is not None and all(a not in NESTED for a in cfg.algorithms):
         raise ConfigError("[run] k_in given but no nested-loop algorithm requested")
@@ -305,21 +254,25 @@ def initial_stats(cfg: ExperimentConfig, model, data: Dataset) -> np.ndarray:
     raise ConfigError(f"[init] unknown kind {cfg.init_kind!r}")
 
 
+def _estimator(algo: str):
+    if algo not in ESTIMATORS:
+        raise ConfigError(f"unknown algorithm {algo!r}")
+    return ESTIMATORS[algo]
+
+
+def _updates_per_epoch(algo: str, n: int, b: int | None) -> int:
+    return max(1, round(n / (n if _estimator(algo).full_batch else b or n)))
+
+
 def _derived_lengths(cfg: ExperimentConfig, algo: str, n: int):
     """(k_max, k_in, k_out, warm) for one algorithm, honoring the epoch budget."""
-    warm = cfg.warm_epochs if algo in ("fiem", "sem-vr", "spider-em",
-                                       "spider-em-cv", "spider-em-pl") else 0
+    warm = cfg.warm_epochs if _estimator(algo).warm else 0
     if cfg.epochs is None:
         return cfg.k_max, cfg.k_in, cfg.k_out, warm
-    b = cfg.batch_size or n
-    per_epoch = max(1, round(n / b))
-    if algo == "em":
-        return cfg.epochs, None, None, 0
-    if algo in ("online-em", "iem"):
-        return cfg.epochs * per_epoch, None, None, 0
-    if algo == "fiem":
-        return (cfg.epochs - warm) * per_epoch, None, None, warm
+    per_epoch = _updates_per_epoch(algo, n, cfg.batch_size)
     span = cfg.epochs - warm
+    if algo not in NESTED:
+        return span * per_epoch, None, None, warm
     if span % 2:
         raise ConfigError(f"[run] epochs - warm_epochs must be even for {algo}")
     return None, per_epoch + 1, span // 2, warm
@@ -329,50 +282,25 @@ def run_single(cfg: ExperimentConfig, algo: str, seed: int, model, data: Dataset
                s_init: np.ndarray) -> RunTrace:
     """One (algorithm, seed) run with the config's sampling/step settings."""
     off = seed_offset()
-    b = cfg.batch_size or data.n
-    schedule = _make_schedule(cfg, algo)
     k_max, k_in, k_out, warm = _derived_lengths(cfg, algo, data.n)
+    schedule = _make_schedule(cfg, algo)
     common = dict(metric_mode=cfg.metric, epsilon=cfg.epsilon,
                   snapshot_mode=cfg.snapshot,
                   compute_objective=cfg.metric != "update")
-    sampler = MinibatchSampler(b, np.random.SeedSequence([seed + off]), mode=cfg.sampling)
 
-    if algo == "em":
-        return run_em(model, data, s_init, k_max, **common)
-    if algo == "online-em":
-        return run_online_em(model, data, s_init, sampler, schedule, k_max, **common)
-    if algo == "iem":
-        return run_iem(model, data, s_init, sampler, schedule, k_max, **common)
-    if algo == "fiem":
-        extra = MinibatchSampler(
-            b, np.random.SeedSequence([seed + off, _EXTRA_STREAM_TAG]), mode=cfg.sampling)
-        main = lambda s, smp: run_fiem(model, data, s, smp, extra, schedule, k_max, **common)
-    elif algo == "sem-vr":
-        main = lambda s, smp: run_sem_vr(model, data, s, smp, schedule, k_out, k_in,
-                                         outer_gamma=cfg.outer_gamma, **common)
-    elif algo == "spider-em":
-        main = lambda s, smp: run_spider_em(model, data, s, smp, schedule, k_out, k_in,
-                                            outer_gamma=cfg.outer_gamma, **common)
-    elif algo == "spider-em-cv":
-        main = lambda s, smp: run_spider_em_cv(model, data, s, smp, schedule, k_out, k_in,
-                                               outer_gamma=cfg.outer_gamma, **common)
-    elif algo == "spider-em-pl":
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed + off, _RESTART_STREAM_TAG]))
-        main = lambda s, smp: run_spider_em_pl(model, data, s, smp, schedule, k_out,
-                                               k_in, rng, **common)
-    else:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    if warm:
-        return hybrid_warm_start(model, data, s_init, sampler, schedule, warm, main,
-                                 **common)
-    return main(s_init, sampler)
+    def seeds(*tags):
+        return np.random.SeedSequence([seed + off, *tags])
+
+    def main(s, smp):
+        return run_algorithm(algo, model, data, s, smp, schedule, seeds, k_max=k_max,
+                             k_in=k_in, k_out=k_out, outer_gamma=cfg.outer_gamma, **common)
+
+    sampler = MinibatchSampler(cfg.batch_size or data.n, seeds(), mode=cfg.sampling)
+    return hybrid_warm_start(model, data, s_init, sampler, schedule, warm, main, **common)
 
 
 def _make_schedule(cfg: ExperimentConfig, algo: str) -> StepSchedule:
-    if algo == "iem":
-        return StepSchedule.constant(1.0)
-    if algo == "em":
+    if ESTIMATORS[algo].unit_step:
         return StepSchedule.constant(1.0)
     if cfg.step_kind == "constant":
         return StepSchedule.constant(cfg.gamma)
@@ -474,22 +402,21 @@ def epoch_accounting(algorithm: str, n: int, b: int, k_in: int | None = None):
     refit; minibatch methods spend it on n/b updates; the nested-loop
     methods alternate a refresh epoch (n, 1) with an inner epoch (2n, n/b).
     """
-    if algorithm not in ALGORITHMS:
+    if algorithm not in ESTIMATORS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "spider-em-pl":
+    est = ESTIMATORS[algorithm]
+    if est.refresh == "restart":
         raise ValueError("the restart variant has a random epoch structure")
-    if algorithm == "em":
+    if est.full_batch:
         return [("full", n, 1)]
     if b < 1 or n % b:
         raise ValueError(f"epoch accounting needs b | n, got n={n}, b={b}")
     per = n // b
-    if algorithm in ("online-em", "iem"):
-        return [("inner", n, per)]
-    if algorithm == "fiem":
-        return [("inner", 2 * n, per)]
+    if est.refresh is None:
+        return [("inner", est.passes * n, per)]
     if k_in is not None and k_in != per + 1:
         raise ValueError(f"nested epoch structure needs k_in = n/b + 1 = {per + 1}")
-    return [("refresh", n, 1), ("inner", 2 * n, per)]
+    return [("refresh", n, 1), ("inner", est.passes * n, per)]
 
 
 def expected_totals(algorithm: str, n: int, b: int | None = None,
@@ -502,20 +429,15 @@ def expected_totals(algorithm: str, n: int, b: int | None = None,
     k_in - 1 inner updates at 2b each and one refresh at n.  The restart
     variant replaces k_in - 1 by its realized inner lengths ``xi``.
     """
-    if algorithm == "em":
-        return n * (1 + k_max), 1 + k_max
-    if algorithm in ("online-em", "iem"):
-        return n + b * k_max, 1 + k_max
-    if algorithm == "fiem":
-        return n + 2 * b * k_max, 1 + k_max
-    if algorithm in ("sem-vr", "spider-em", "spider-em-cv"):
-        return (n + k_out * (n + 2 * b * (k_in - 1)),
-                1 + k_out * k_in)
-    if algorithm == "spider-em-pl":
-        xi = list(xi)
-        return (n + sum(n + 2 * b * x for x in xi),
-                1 + sum(x + 1 for x in xi))
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in ESTIMATORS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    est = ESTIMATORS[algorithm]
+    update_ce = est.passes * (n if est.full_batch else b)
+    if est.refresh is None:
+        return n + update_ce * k_max, 1 + k_max
+    lengths = list(xi) if est.refresh == "restart" else [k_in - 1] * k_out
+    return (n + sum(n + update_ce * x for x in lengths),
+            1 + sum(x + 1 for x in lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -551,27 +473,6 @@ def paper_batch_size(n: int) -> int:
     return math.ceil(math.sqrt(n) / 20.0)
 
 
-def _hitting_costs(algorithm: str, n: int, b: int, k_in: int | None,
-                   hit: tuple[int, int, int]) -> tuple[int, int]:
-    """(k_opt, k_ce) for a first hit at trace position (t, k, tau).
-
-    k_opt is the update count tau; k_ce counts post-initialization
-    conditional expectations: full refreshes completed so far plus the
-    per-update batch cost of the algorithm.  A nested method counts each
-    of its t - 1 refreshes in tau, at n rather than 2b.
-    """
-    t, _, tau = hit
-    if algorithm in ("sem-vr", "spider-em", "spider-em-cv"):
-        return tau, n * (t - 1) + 2 * b * (tau - (t - 1))
-    if algorithm == "fiem":
-        return tau, 2 * b * tau
-    if algorithm in ("online-em", "iem"):
-        return tau, b * tau
-    if algorithm == "em":
-        return tau, n * tau
-    raise ValueError(f"no hitting-cost formula for {algorithm!r}")
-
-
 def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: int,
                         max_epochs: int = 500, progress=None) -> ComplexityEstimate:
     """First-hitting-time study over a grid of problem sizes.
@@ -593,14 +494,9 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
         b = cfg.batch_size if cfg.batch_size is not None else paper_batch_size(n)
         k_in = cfg.k_in if cfg.k_in is not None else math.ceil(n / b)
         if algo in NESTED:
-            k_out = max(1, math.ceil(max_epochs / 2))
-            k_max = None
-        elif algo == "em":
-            k_out = None
-            k_max = max_epochs
+            k_out, k_max = max(1, math.ceil(max_epochs / 2)), None
         else:
-            k_out = None
-            k_max = max_epochs * max(1, round(n / b))
+            k_out, k_max = None, max_epochs * _updates_per_epoch(algo, n, b)
         sub = replace(cfg, n=n, batch_size=b, k_in=k_in, k_out=k_out, k_max=k_max,
                       epochs=None, epsilon=epsilon, metric="update", snapshot="none",
                       warm_epochs=0, algorithms=(algo,))
@@ -611,9 +507,10 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
         for trial in range(trials):
             trace = run_single(sub, algo, trial, model, data, s_init)
             if trace.hit is not None:
-                k_opt, k_ce = _hitting_costs(algo, n, b, k_in, trace.hit)
+                # costs after the initial refit, read at the hit, the last record
+                at_hit = trace.final_record()
                 recs.append({"hit": True, "tau": trace.hit[2], "t": trace.hit[0] - 1,
-                             "k_opt": k_opt, "k_ce": k_ce})
+                             "k_opt": at_hit.mstep - 1, "k_ce": at_hit.ce - n})
             else:
                 recs.append({"hit": False, "tau": -1, "t": -1, "k_opt": -1, "k_ce": -1})
             if progress:

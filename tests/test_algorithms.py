@@ -516,6 +516,16 @@ class TestHybridWarmStart:
         assert trace.counters.ce == warm_ce + main_ce
         assert trace.counters.mstep == (1 + 16) + main_m
 
+    def test_main_phase_must_continue_the_sampler(self):
+        model, data, s0 = overlapping_scalar()
+        gamma = StepSchedule.constant(0.2)
+
+        def main(s, sampler):
+            return run_spider_em(model, data, s, MinibatchSampler(4, seed=1), gamma, 2, 4)
+
+        with pytest.raises(ValueError, match="run_main"):
+            hybrid_warm_start(model, data, s0, MinibatchSampler(4, seed=9), gamma, 1, main)
+
 
 class TestRandomizedTermination:
     def test_degenerate_trace_returns_start(self):

@@ -108,6 +108,11 @@ outer_gamma = 0.75
             parse_config("x = 1\n")
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_config("[run]\nalgorithms = em\nalgorithms = em\nk_max = 1\n")
+        # list-valued keys report their field too, not a bare ValueError
+        for section, key in (("model", "weights"), ("data", "means"),
+                             ("init", "means"), ("run", "seeds")):
+            with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: cannot parse"):
+                parse_config(f"[{section}]\n{key} = 0 x\n")
 
     def test_consistency_checks(self):
         with pytest.raises(ConfigError, match="needs k_in and k_out"):
@@ -193,6 +198,16 @@ class TestRunExperiment:
 
         for name in ("trace_online-em_0.csv", "trace_spider-em_1.csv"):
             assert strip_wall(tmp_path / "a" / name) == strip_wall(tmp_path / "b" / name)
+
+    def test_wall_clock_runs_on_across_warm_start(self):
+        cfg = ExperimentConfig(algorithms=("spider-em",), n=2000, batch_size=20,
+                               epochs=6, warm_epochs=2, gamma=0.01)
+        data = build_dataset(cfg)
+        model = build_model(cfg, data)
+        trace = run_single(cfg, "spider-em", 0, model, data,
+                           initial_stats(cfg, model, data))
+        assert set(trace.column("phase")) == {"warmup", "spider-em"}
+        assert (np.diff(trace.column("wall_ms")) >= 0).all()
 
     def test_monotone_counters_and_em_objective(self, tmp_path):
         cfg = parse_config(GOOD_CONFIG.format(out=tmp_path / "runs"))
@@ -310,8 +325,9 @@ class TestComplexity:
         assert len(trials) == 5
 
     def test_hitting_cost_formula_nested(self, monkeypatch):
-        # k_ce must equal the trace's CE counter at the hit, minus the
-        # initial n-row pass; every hit here follows at least one refresh
+        # k_ce and k_opt must equal the trace's CE and M-step counters at the
+        # hit, minus the initial refit; every hit here follows at least one
+        # refresh
         from emvr import harness
         traces = []
         real = harness.run_single
@@ -323,7 +339,8 @@ class TestComplexity:
         monkeypatch.setattr(harness, "run_single", recording)
         k_ce = {}
         for algo, k_in, trials in (("spider-em", 500, 1), ("sem-vr", 200, 2),
-                                   ("spider-em", 200, 2), ("spider-em-cv", 200, 2)):
+                                   ("spider-em", 200, 2), ("spider-em-cv", 200, 2),
+                                   ("spider-em-pl", 200, 2)):
             traces.clear()
             cfg = ExperimentConfig(algorithms=(algo,), gamma=0.01, batch_size=2, k_in=k_in)
             est = estimate_complexity(cfg, 2.5e-5, [1000], trials)
@@ -332,12 +349,18 @@ class TestComplexity:
             for trace, rec in zip(traces, recs):
                 assert rec["hit"] and trace.hit[0] >= 2
                 at_hit = next(r for r in trace.records if (r.t, r.k, r.tau) == trace.hit)
-                assert rec["k_opt"] == trace.hit[2]
+                assert rec["k_opt"] == at_hit.mstep - 1
                 assert rec["k_ce"] == at_hit.ce - 1000
+                # tau counts a damped refresh but not a restart
+                restarts = trace.hit[0] - 1 if algo == "spider-em-pl" else 0
+                assert rec["k_opt"] == trace.hit[2] + restarts
             k_ce[algo, k_in] = recs[0]["k_ce"]
         # trial 0 hits at (t, k, tau) = (2, 58, 558): one refresh and 557
         # inner updates of 2b each
         assert k_ce["spider-em", 500] == 1000 + 2 * 2 * 557 == 3228
+        # the restart variant's trial 0 hits at (6, 119, 516): five restarts
+        # and 516 inner updates of 2b each
+        assert k_ce["spider-em-pl", 200] == 1000 * 5 + 2 * 2 * 516 == 7064
 
     def test_validation(self):
         cfg = ExperimentConfig(algorithms=("spider-em",))
