@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    DomainError, MinibatchSampler, Model, OracleCounters,
                    fd_natural_jacobian, fd_objective_gradient, full_stats,
-                   mean_field, minibatch_stats, mstep, objective,
-                   sample_minibatch)
+                   mean_field, minibatch_stats, mstep, objective)
 from .algorithms import (PerSampleStatStore, RunTrace, StepSchedule,
                          TraceRecord, hybrid_warm_start, randomized_terminate,
                          run_em, run_fiem, run_iem, run_online_em, run_sem_vr,

@@ -51,9 +51,6 @@ class OracleCounters:
     def copy(self) -> "OracleCounters":
         return OracleCounters(self.ce, self.mstep)
 
-    def __add__(self, other: "OracleCounters") -> "OracleCounters":
-        return OracleCounters(self.ce + other.ce, self.mstep + other.mstep)
-
 
 class Dataset:
     """Immutable observation matrix with a cached second moment.
@@ -203,11 +200,6 @@ class MinibatchSampler:
         if b > n:
             raise ValueError(f"batch_size {b} exceeds n={n} for without-replacement sampling")
         return self._rng.choice(n, size=b, replace=False)
-
-
-def sample_minibatch(sampler: MinibatchSampler, n: int) -> np.ndarray:
-    """Draw the next minibatch of indices from ``sampler``."""
-    return sampler.sample(n)
 
 
 def _check_indices(indices, n: int) -> np.ndarray:

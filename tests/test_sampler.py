@@ -6,7 +6,7 @@ import pytest
 
 from emvr import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, MinibatchSampler,
                   ScalarTwoGmm, ScalarTwoGmmParams, full_stats,
-                  minibatch_stats, sample_minibatch)
+                  minibatch_stats)
 from emvr.data import gen_scalar_mixture
 
 
@@ -53,7 +53,7 @@ class TestSamplerContract:
         a = MinibatchSampler(3, seed=42)
         b = MinibatchSampler(3, seed=42)
         for _ in range(50):
-            assert np.array_equal(sample_minibatch(a, 9), sample_minibatch(b, 9))
+            assert np.array_equal(a.sample(9), b.sample(9))
 
     def test_modes_validated(self):
         with pytest.raises(ValueError):
