@@ -89,7 +89,7 @@ def _list(kind):
     return parse
 
 
-# (section, key) -> (ExperimentConfig field, parser)
+# section -> key -> (ExperimentConfig field, parser)
 _KEYS = {
     "model": {"kind": ("model_kind", str), "components": ("components", int),
               "dim": ("dim", int), "weights": ("weights", _list(float)),
