@@ -9,9 +9,11 @@ of them as they are.  A change that alters a trajectory on purpose
 regenerates them (run this file as a script to print the current values)
 and says so in CHANGES.md.
 
-The cases cover all eight algorithms; warm-started FIEM, sEM-vr and
-SPIDER-EM through the harness with a batch size that does not divide n; an
-epsilon hit in update mode for nested methods; and divergences inside a
+The cases cover all eight algorithms; the corrected methods at a step
+near 1, where the float order of a direction reaches the iterate;
+warm-started FIEM, sEM-vr and SPIDER-EM through the harness with a batch
+size that does not divide n; an epsilon hit in update mode for nested
+methods; and divergences inside a
 flat run, inside an inner loop, at a damped outer refresh and at a restart.
 """
 
@@ -91,6 +93,16 @@ CASES = {
                                                      3, 5, **EVERY),
     "spider-em-pl": lambda m, d, s: run_spider_em_pl(
         m, d, s, _smp(6), _gamma(0.2), 4, 6, np.random.default_rng(6), **EVERY),
+    # at a step near 1 a direction's last bits reach the iterate, so these
+    # pin each corrected method's float order
+    "fiem-large-step": lambda m, d, s: run_fiem(m, d, s, _smp(3), _smp(103), _gamma(0.9),
+                                                20, **EVERY),
+    "sem-vr-large-step": lambda m, d, s: run_sem_vr(m, d, s, _smp(4), _gamma(0.9), 3, 5,
+                                                    **EVERY),
+    "spider-em-large-step": lambda m, d, s: run_spider_em(m, d, s, _smp(5), _gamma(0.9),
+                                                          3, 5, **EVERY),
+    "spider-em-cv-large-step": lambda m, d, s: run_spider_em_cv(
+        m, d, s, _smp(5), _gamma(0.9), 3, 5, **EVERY),
     # epsilon hits in update mode, after at least one refresh
     "spider-em-hit": lambda m, d, s: run_spider_em(
         m, d, s, _smp(7), _gamma(0.2), 20, 5, epsilon=1e-6, **UPDATE),
@@ -125,6 +137,7 @@ CASES = {
 GOLDEN = {
     'em': '3a953297e49544a3217243a6821f556f1bc157029aeb4e2e59a970795ce2a497',
     'fiem': '1afea337e4d0b3ca598ca4fa3b9743d343f4d11b158b2507856dd8ccd9b1ba18',
+    'fiem-large-step': 'c5e948b97c441bfebf258d3155bcc83df500366061c16990ecaea28cdb86029a',
     'iem': '91a842d08a0b2e3cc64318a4c3c2a37f206655b9bdaff25f68979af5e48feec8',
     'online-em': '4fe80d754ed6087dd2cd0087722fc45d0bcd6e0b286e45e52f4937a50c4d4887',
     'online-em-diverged': 'f7dd9290097089ca3e4fc3061cccf475d43c5cf366542c800ef742818252f23f',
@@ -132,12 +145,15 @@ GOLDEN = {
     'sem-vr': '5433e1a5e008b50d73f41d9b7454fe9202026c7519202009163f7d16d64d906c',
     'sem-vr-diverged-refresh': '7b16ca45eefec1e1f21b14208c46c1d89983ea6425e489f26bbcf27c6609978c',
     'sem-vr-diverged-refresh-quiet': '49979b9cd950b35a2cef910e7f28cf9e5ed958813137522bf302c628718da3f0',
+    'sem-vr-large-step': '796cf80963170fa0a1df017f0f3564f94e8cb384b3e85e18779c8a41c5393add',
     'sem-vr-outer-gamma': 'c19327e32bdc7f30ffe7f2b79c0707310472c8f69b2bafc91b51950863463f5b',
     'spider-em': 'efb379d447b3bf1732c35bc3049d22e42ace8f4c3e2ec6f739fa061aefd8da71',
     'spider-em-callback': '130d7c9dc860eada06c0ac493844b46f3b5b7f7dbd2c0e9ec33ac59e03047508',
     'spider-em-cv': 'a6ad75059bfebaffe6c87528538a74d26663d4c71ae6f758388c473058316480',
+    'spider-em-cv-large-step': '20db6d4447b3474b5fac1514c2a600b09c3b3d35fb736547cb8d7d77813840c4',
     'spider-em-diverged-inner': '04b7e1d032be5dfbc894bf1038212355dbe3686e49f16bbdf515de40bd00cfc9',
     'spider-em-hit': 'ed3cf82a97523f1376c5429f960a7ec79018a0246aad6e1d762a8efc521d2ac4',
+    'spider-em-large-step': '2ae3738d6d81d6196672878e1dcc8c958eb458b5c8f8e0fafefb47e4f02736a7',
     'spider-em-pl': '53328bcfda6c270955d2a88c662593c045f31fcf71de3c4a348e7d1994e7c630',
     'spider-em-pl-diverged': '3ace9912c2eb71480fe03bcf04765827ee5db846f6490f4c91c592e239e6376a',
     'spider-em-pl-diverged-restart': 'd0cf18ef0a8ddc2e0010a04872cff9176fcd00a5ea731b161e97f8171a0b23a9',
