@@ -113,6 +113,9 @@ outer_gamma = 0.75
                              ("init", "means"), ("run", "seeds")):
             with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: cannot parse"):
                 parse_config(f"[{section}]\n{key} = 0 x\n")
+        # an unknown snapshot mode is a config error, not a traceback mid-run
+        with pytest.raises(ConfigError, match=r"\[run\] snapshot"):
+            parse_config("[run]\nsnapshot = bogus\nalgorithms = em\nk_max = 3\n")
 
     def test_consistency_checks(self):
         with pytest.raises(ConfigError, match="needs k_in and k_out"):
