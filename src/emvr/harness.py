@@ -174,6 +174,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
                           f"{WITHOUT_REPLACEMENT}, got {cfg.sampling!r}")
     if cfg.metric not in ("epoch", "update", "none"):
         raise ConfigError(f"[run] metric must be epoch, update or none, got {cfg.metric!r}")
+    if cfg.snapshot not in ("none", "checkpoint", "every-update"):
+        raise ConfigError("[run] snapshot must be none, checkpoint or every-update, "
+                          f"got {cfg.snapshot!r}")
     if not cfg.algorithms:
         raise ConfigError("[run] algorithms must not be empty")
     for algo in cfg.algorithms:
