@@ -288,6 +288,24 @@ class PooledGmm(Model):
         return _gmm_pass(params, data, None, want_nll, self.include_norm_const)
 
 
+def _scalar_rows(data: Dataset, indices) -> np.ndarray:
+    return data.values[:, 0] if indices is None else data.values[indices, 0]
+
+
+def _logistic(d: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-d))``, overwriting ``d``.
+
+    Where ``exp(-d)`` overflows the result is exactly 0, its correctly
+    rounded value; elsewhere it is within a few ulps of the softplus form
+    ``exp(-logaddexp(0, -d))``.
+    """
+    np.negative(d, out=d)
+    with np.errstate(over="ignore"):
+        np.exp(d, out=d)
+    d += 1.0
+    return np.divide(1.0, d, out=d)
+
+
 class ScalarTwoGmm(Model):
     """Scalar two-component mixture; weights and the common variance are known.
 
@@ -322,26 +340,32 @@ class ScalarTwoGmm(Model):
     def stat_dim(self) -> int:
         return 4
 
-    def _posterior(self, data: Dataset, indices, params: ScalarTwoGmmParams):
-        """Rows ``y``, ``p1 = P(z = 1 | y)``, ``y p1`` and ``softplus(-d) = -log p1``,
-        with ``d`` the log-odds of component one."""
-        y = data.values[:, 0] if indices is None else data.values[indices, 0]
-        (mu1, mu2), (w1, w2), v = params.mu, self.weights, self.variance
-        d = np.log(w1) - np.log(w2) + (mu1 - mu2) * (2.0 * y - mu1 - mu2) / (2.0 * v)
-        sp = np.logaddexp(0.0, -d)
-        p1 = np.exp(-sp)   # a stable logistic
-        return y, p1, y * p1, sp
+    def _log_odds(self, y: np.ndarray, params: ScalarTwoGmmParams) -> np.ndarray:
+        """Log-odds ``d`` of component one, built in place in one new array:
+        ``log(w1 / w2) + (mu1 - mu2) (2 y - mu1 - mu2) / (2 v)``."""
+        (mu1, mu2), (w1, w2) = params.mu, self.weights
+        d = 2.0 * y
+        d -= mu1
+        d -= mu2
+        d *= mu1 - mu2
+        d /= 2.0 * self.variance
+        d += np.log(w1) - np.log(w2)
+        return d
 
     def _pass(self, data: Dataset, indices, params: ScalarTwoGmmParams, want_nll: bool,
               include_norm_const: bool = True):
         """One fused E-step pass: (statistic average over the rows, mean NLL).
 
-        The likelihood reuses the logistic's softplus:
+        The statistics need two reductions of ``p1``; the other two columns
+        follow from the row count and the data sum.  The likelihood uses
         ``log(w1 N1 + w2 N2) = log(w1 N1) + softplus(-d)``.
         """
-        y, p1, yp1, sp = self._posterior(data, indices, params)
-        # the same four columns as sbar_rows, summed without stacking them
-        sbar = np.array([p1.sum(), (1.0 - p1).sum(), yp1.sum(), (y - yp1).sum()]) / y.size
+        y = _scalar_rows(data, indices)
+        d = self._log_odds(y, params)
+        sp = np.logaddexp(0.0, -d) if want_nll else None
+        p1 = _logistic(d)
+        m1, yp1 = p1.sum(), y @ p1
+        sbar = np.array([m1, y.size - m1, yp1, y.sum() - yp1]) / y.size
         if not want_nll:
             return sbar, float("nan")
         v = self.variance
@@ -352,7 +376,9 @@ class ScalarTwoGmm(Model):
         return sbar, float(nll)
 
     def sbar_rows(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
-        y, p1, yp1, _ = self._posterior(data, indices, params)
+        y = _scalar_rows(data, indices)
+        p1 = _logistic(self._log_odds(y, params))
+        yp1 = y * p1
         return np.column_stack([p1, 1.0 - p1, yp1, y - yp1])
 
     def batch_mean(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:

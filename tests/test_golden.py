@@ -135,33 +135,33 @@ CASES = {
 }
 
 GOLDEN = {
-    'em': '3a953297e49544a3217243a6821f556f1bc157029aeb4e2e59a970795ce2a497',
-    'fiem': '1afea337e4d0b3ca598ca4fa3b9743d343f4d11b158b2507856dd8ccd9b1ba18',
-    'fiem-large-step': 'c5e948b97c441bfebf258d3155bcc83df500366061c16990ecaea28cdb86029a',
-    'iem': '91a842d08a0b2e3cc64318a4c3c2a37f206655b9bdaff25f68979af5e48feec8',
-    'online-em': '4fe80d754ed6087dd2cd0087722fc45d0bcd6e0b286e45e52f4937a50c4d4887',
-    'online-em-diverged': 'f7dd9290097089ca3e4fc3061cccf475d43c5cf366542c800ef742818252f23f',
-    'online-em-inverse-sqrt': '801b3583254304b5221c6da463b9e1f39c0022c5a8300042b33d78e9c397fea9',
-    'sem-vr': '5433e1a5e008b50d73f41d9b7454fe9202026c7519202009163f7d16d64d906c',
-    'sem-vr-diverged-refresh': '7b16ca45eefec1e1f21b14208c46c1d89983ea6425e489f26bbcf27c6609978c',
-    'sem-vr-diverged-refresh-quiet': '49979b9cd950b35a2cef910e7f28cf9e5ed958813137522bf302c628718da3f0',
-    'sem-vr-large-step': '796cf80963170fa0a1df017f0f3564f94e8cb384b3e85e18779c8a41c5393add',
-    'sem-vr-outer-gamma': 'c19327e32bdc7f30ffe7f2b79c0707310472c8f69b2bafc91b51950863463f5b',
-    'spider-em': 'efb379d447b3bf1732c35bc3049d22e42ace8f4c3e2ec6f739fa061aefd8da71',
-    'spider-em-callback': '130d7c9dc860eada06c0ac493844b46f3b5b7f7dbd2c0e9ec33ac59e03047508',
-    'spider-em-cv': 'a6ad75059bfebaffe6c87528538a74d26663d4c71ae6f758388c473058316480',
-    'spider-em-cv-large-step': '20db6d4447b3474b5fac1514c2a600b09c3b3d35fb736547cb8d7d77813840c4',
-    'spider-em-diverged-inner': '04b7e1d032be5dfbc894bf1038212355dbe3686e49f16bbdf515de40bd00cfc9',
-    'spider-em-hit': 'ed3cf82a97523f1376c5429f960a7ec79018a0246aad6e1d762a8efc521d2ac4',
-    'spider-em-large-step': '2ae3738d6d81d6196672878e1dcc8c958eb458b5c8f8e0fafefb47e4f02736a7',
-    'spider-em-pl': '53328bcfda6c270955d2a88c662593c045f31fcf71de3c4a348e7d1994e7c630',
-    'spider-em-pl-diverged': '3ace9912c2eb71480fe03bcf04765827ee5db846f6490f4c91c592e239e6376a',
-    'spider-em-pl-diverged-restart': 'd0cf18ef0a8ddc2e0010a04872cff9176fcd00a5ea731b161e97f8171a0b23a9',
-    'spider-em-pl-hit': '31b889414df39a792b31db7f9b489048f799e851880aee824ce807c421b28f2d',
-    'warm-fiem': '874fccff2c776e611e0ed0b7868a7ca20e8aa5f70d5e7ea558848fac19367fcf',
-    'warm-sem-vr': '6ffe2f5f82d58c42b889ec28d702965ece84607c1ba338c94598a025ce1ee6d0',
-    'warm-spider-em': '978dffc127910b8f9e0d6c8828e44ad25660d628b8001153e1f6ffe39e873f2c',
-    'warm-spider-em-pl': '36b88c90ac7cbdf8e87a7d092a1b0e8f39b0d1bc4a9ae525bd1841545a6427d6',
+    'em': '14f3a1c84b3ad0c462e397c2a28c505a6326f7fda0722b44fa84c2f1bbc6fb25',
+    'fiem': '62e3515b031fe272a25a8cc79d75497cfedec8ab8e678e758a1281a901dc8fe2',
+    'fiem-large-step': 'b9d8563fd04413f880393405681875f27f59b2a1e5359b116189dbcf57516c39',
+    'iem': '8cb8a95911b157e22b4df11456d1cd8e71f61277df80fc6c15aece721574a019',
+    'online-em': 'd80cf20b9792d90d963a7bb05e32b63ae0258c80e0d795f2d026ed862289e715',
+    'online-em-diverged': '2209439a32661c9fa5879cf428720b9c3f71d1d0f3dac545fb7d82c68a7958f9',
+    'online-em-inverse-sqrt': '1ac7b561e38c9a8d2c7ec3dfde69c4bd745d39de59b6d062a315f58a619fa5cc',
+    'sem-vr': '166d61ee4f364999fb11ec3a1762a538316c896d2dcee0a0b0eb3ef7cddf382d',
+    'sem-vr-diverged-refresh': '6544279aaff7975ddc529c3a6ded72bcfc1329f190fc51eea2b144e8e539f58f',
+    'sem-vr-diverged-refresh-quiet': 'f7193899b01e8d9ebc832f3056b2aecdc8ebf833ff23cfb107e46fc6b7288e61',
+    'sem-vr-large-step': '731318ec36afa2b8e5c65d216f048fb294ae0b7be0501479ff530003cba0d269',
+    'sem-vr-outer-gamma': '609a1e13b203d906dcfb430844fc2087af11a0d84d08df057d8e8e200c9f23b8',
+    'spider-em': 'c6d94919726a32d03a45751c1ecdecf14959481c119e2ded3282fd18b522dfe3',
+    'spider-em-callback': 'b5e0aeffbb73e09a22df0415114a9d831d583b8d85f0f9912f3880536b4621be',
+    'spider-em-cv': '9e708f09153eeddd455887c298367ca4ec3ed7211a878ff8841726962919320d',
+    'spider-em-cv-large-step': '01b0f9e0de6633a533e8a82b78e06e92ceae159a4f139ecc93ee0a5d9e9286fd',
+    'spider-em-diverged-inner': 'f3d311355cb7e6a5d3e76deedb71987576bbc27e560ad8de959d5f9661a34e17',
+    'spider-em-hit': '827eae72dad618ec4e37895c8809398b8900126348f82332079ea577aec96296',
+    'spider-em-large-step': 'd6e1c3b661973f4fe2f46a7982816738721045e9efd680491354b38bfd4851e7',
+    'spider-em-pl': 'c45adb1edac0b067687b272eb87193a61df6a6487200546644d9f62d6e1cada1',
+    'spider-em-pl-diverged': '921e8abe5f418f97b00f29ff18e00cb86fce85636b951155cfd472b244d33ef6',
+    'spider-em-pl-diverged-restart': '05066f5905322ccd473f7bf8d0d292dcdab47f94d548398c564f708040044949',
+    'spider-em-pl-hit': '17d7aa713e07f70dfea1bdf35f4d7b08f02d8489353b8713d29654aaabb9add0',
+    'warm-fiem': '73f1afe5ded7add6bcfb642da53496f01c68338412423684ea486d509e056a25',
+    'warm-sem-vr': 'ee8ca2f994272a7bc61009178ee659d62af8679525fdaab09cd3b50795af2e05',
+    'warm-spider-em': 'a6628c79adc58703694cfe5b93d9a7abe9527eeabf7ed98ae7ff69af0a7a233d',
+    'warm-spider-em-pl': 'ccebbba9f88d3e2393fa6445618afc2861aa4efe4c70306ed1b3e3b056326426',
 }
 
 
