@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal, norm
 
 from emvr import (Dataset, DomainError, GmmParams, PooledGmm, ScalarTwoGmm,
                   ScalarTwoGmmParams, full_stats, load_params, mean_field,
                   run_em, save_params, scalar2_m_step)
-from emvr.data import gen_multivariate_mixture
-from emvr.gmm import (gmm_log_partition, gmm_m_step, gmm_phi, gmm_posterior,
-                      init_kmeans, init_random_responsibility,
+from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
+from emvr.gmm import (_logistic, gmm_log_partition, gmm_m_step, gmm_phi,
+                      gmm_posterior, init_kmeans, init_random_responsibility,
                       stats_from_params)
 
 
@@ -329,6 +331,76 @@ class TestScalarTwo:
         direct = -np.log(0.2 * norm.pdf(y, 0.7, 1.0) + 0.8 * norm.pdf(y, -0.3, 1.0)).mean()
         assert scalar_model.penalized_nll(scalar_data, params) == pytest.approx(direct,
                                                                                 abs=1e-12)
+
+
+def _direct_scalar_pass(y, mu, weights, variance):
+    """Per-row reference: each component's log-joint from ``y - mu_l`` directly."""
+    l1 = np.log(weights[0]) - (y - mu[0]) ** 2 / (2.0 * variance)
+    l2 = np.log(weights[1]) - (y - mu[1]) ** 2 / (2.0 * variance)
+    top = np.maximum(l1, l2)
+    lse = top + np.log(np.exp(l1 - top) + np.exp(l2 - top))
+    p1 = np.exp(l1 - lse)
+    sbar = np.array([p1.mean(), (1.0 - p1).mean(), (y * p1).mean(), (y * (1.0 - p1)).mean()])
+    nll = -lse.mean() + 0.5 * np.log(2.0 * np.pi * variance)
+    return sbar, nll
+
+
+class TestScalarLogistic:
+    def test_matches_softplus_form(self):
+        # |d| up to 1e3 spans exp(-d) overflowing, the subnormal tail and 1 - p1 rounding to 0
+        d = np.concatenate([np.linspace(-1e3, 1e3, 20_001), np.linspace(-760.0, -700.0, 6001),
+                            np.linspace(-40.0, 40.0, 8001)])
+        ref = np.exp(-np.logaddexp(0.0, -d))
+        got = _logistic(d.copy())
+        normal = ref >= np.finfo(float).tiny
+        assert np.all(np.abs(got - ref)[normal] <= 1e-14 * ref[normal])
+        assert np.all(np.abs(got - ref)[~normal] <= 1e-300)
+
+    def test_overflow_gives_exact_zero_silently(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _logistic(np.array([-1e3, -710.0, 0.0, 1e3]))
+        assert np.array_equal(got, [0.0, 0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_pass_matches_direct_rows(self, offset):
+        # the log-odds are centred on the midpoint of the means, so a common
+        # offset of data and means must not show in the statistics
+        base = gen_scalar_mixture(500, seed=17)
+        data = Dataset(base.values[:, 0] + offset)
+        model = ScalarTwoGmm.from_data(data, weights=(0.35, 0.65), variance=1.7)
+        mu = offset + np.array([0.8, -0.7])
+        params = ScalarTwoGmmParams(mu=mu)
+        ref, ref_nll = _direct_scalar_pass(data.values[:, 0], mu, (0.35, 0.65), 1.7)
+        sbar, nll = model.checkpoint_stats(data, params)
+        for got in (sbar, model.batch_mean(data, None, params),
+                    model.sbar_rows(data, None, params).mean(axis=0)):
+            assert np.abs(got[:2] - ref[:2]).max() <= 1e-12
+            assert np.abs(got[2:] - ref[2:]).max() <= 1e-12 * max(1.0, offset)
+        assert nll == pytest.approx(ref_nll, abs=1e-12)
+
+    def test_nll_leaves_statistics_bitwise(self, scalar_model, scalar_data):
+        params = ScalarTwoGmmParams(mu=np.array([0.9, -0.6]))
+        with_nll, nll = scalar_model.checkpoint_stats(scalar_data, params, want_nll=True)
+        without, nan = scalar_model.checkpoint_stats(scalar_data, params, want_nll=False)
+        assert np.array_equal(with_nll, without) and np.isfinite(nll) and np.isnan(nan)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           offset=st.floats(-1e6, 1e6), spread=st.floats(1e-3, 1e3),
+           gap=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           w1=st.floats(1e-3, 1.0 - 1e-3), variance=st.floats(1e-3, 1e3))
+    def test_statistics_properties(self, n, seed, offset, spread, gap, w1, variance):
+        y = offset + spread * np.random.default_rng(seed).standard_normal(n)
+        data = Dataset(y)
+        model = ScalarTwoGmm(weights=(w1, 1.0 - w1), variance=variance)
+        params = ScalarTwoGmmParams(mu=offset + np.array(gap))
+        rows = model.sbar_rows(data, None, params)
+        assert np.all((rows[:, :2] >= 0.0) & (rows[:, :2] <= 1.0))
+        got = model.batch_mean(data, None, params)
+        assert abs(got[0] + got[1] - 1.0) <= 1e-12
+        ymax = max(1.0, np.abs(y).max())
+        scale = np.array([1.0, 1.0, ymax, ymax])
+        assert np.all(np.abs(got - rows.mean(axis=0)) <= 1e-13 * scale)
 
 
 class TestCheckpointStats:
