@@ -445,6 +445,19 @@ def init_random_responsibility(model: Model, data: Dataset, seed) -> np.ndarray:
     return np.concatenate([masses, weighted.reshape(-1)])
 
 
+def _nearest_center(xc: np.ndarray, centers: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centre, with rows ``xc`` already centred on ``center``.
+
+    Ranks ``|c - center|^2 / 2 - (x - center) . (c - center)``, which is
+    ``|x - c|^2 / 2`` less a per-row constant, without an ``(n, g, p)``
+    difference tensor.  Centring keeps the terms of the order of the spread.
+    """
+    cc = centers - center
+    score = xc @ cc.T
+    np.subtract(0.5 * np.einsum("gp,gp->g", cc, cc), score, out=score)
+    return score.argmin(axis=1)
+
+
 def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.ndarray:
     """Starting statistics from seeded k-means-style hard clustering.
 
@@ -455,10 +468,10 @@ def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.n
     rng = np.random.default_rng(seed)
     g = model.g
     X = data.values
+    xc = X - data.mean
     centers = X[rng.choice(data.n, size=g, replace=False)].copy()
     for _ in range(n_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
+        assign = _nearest_center(xc, centers, data.mean)
         for ell in range(g):
             mask = assign == ell
             if mask.any():

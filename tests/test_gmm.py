@@ -8,6 +8,7 @@ from scipy.stats import multivariate_normal, norm
 from emvr import (Dataset, DomainError, GmmParams, PooledGmm, ScalarTwoGmm,
                   ScalarTwoGmmParams, full_stats, load_params, mean_field,
                   run_em, save_params, scalar2_m_step)
+from emvr import gmm
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.gmm import (_logistic, gmm_log_partition, gmm_m_step, gmm_phi,
                       gmm_posterior, init_kmeans, init_random_responsibility,
@@ -424,6 +425,31 @@ class TestCheckpointStats:
         assert w_full - w_red == pytest.approx(np.log(2 * np.pi), abs=1e-14)
 
 
+def _kmeans_difference_form(model, data, seed, n_iter=10, chunk=10_000):
+    """Reference k-means start: each step's assignments from ``|x - c|^2`` formed
+    directly (in row chunks, to bound the ``(rows, g, p)`` tensor), and the
+    starting statistics they lead to."""
+    rng = np.random.default_rng(seed)
+    X = data.values
+    centers = X[rng.choice(data.n, size=model.g, replace=False)].copy()
+    steps = []
+    for _ in range(n_iter):
+        assign = np.concatenate([
+            ((X[i:i + chunk, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+            for i in range(0, data.n, chunk)])
+        steps.append(assign)
+        for ell in range(model.g):
+            mask = assign == ell
+            if mask.any():
+                centers[ell] = X[mask].mean(axis=0)
+    counts = np.maximum(np.bincount(assign, minlength=model.g).astype(np.float64), 1.0)
+    weights = counts / counts.sum()
+    cov = data.second_moment - (centers * weights[:, None]).T @ centers
+    chol = np.linalg.cholesky((cov + cov.T) / 2)
+    return steps, full_stats(model, data, GmmParams(weights=weights, means=centers,
+                                                    cov_chol=chol))
+
+
 class TestInitializers:
     def test_random_responsibility_admissible(self, gmm_model, gmm_data):
         s = init_random_responsibility(gmm_model, gmm_data, seed=0)
@@ -437,6 +463,30 @@ class TestInitializers:
         trace = run_em(model, data, s, 60, metric_mode="none")
         h = mean_field(model, data, trace.s_final)
         assert np.linalg.norm(h) <= 1e-8
+
+    @pytest.mark.parametrize("n, g, p, separation, seed", [
+        (400, 3, 2, 8.0, 1),          # the separated fixture above
+        (70_000, 12, 20, 6.0, 0),     # the gmm-em-70k benchmark instance
+    ])
+    def test_kmeans_assignments_match_difference_form(self, monkeypatch, n, g, p,
+                                                      separation, seed):
+        # the fixed k-means starts depend on every assignment, so the expanded
+        # quadratic must not flip a single one against the difference form
+        data = gen_multivariate_mixture(n, g, p, separation, seed=seed)
+        model = PooledGmm.from_data(g, data)
+        seen, real = [], gmm._nearest_center
+
+        def spy(xc, centers, center):
+            seen.append(real(xc, centers, center))
+            return seen[-1]
+
+        monkeypatch.setattr(gmm, "_nearest_center", spy)
+        got = init_kmeans(model, data, seed=0)
+        want_assign, want = _kmeans_difference_form(model, data, seed=0)
+        assert len(seen) == len(want_assign) == 10
+        for a, b in zip(seen, want_assign):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got, want)
 
     def test_param_bridge_is_full_stats(self, gmm_model, gmm_data):
         params = random_params(3, 2, 37)
