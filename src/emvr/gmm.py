@@ -11,10 +11,12 @@ Two concrete models:
   and a known common variance; only the two means are fitted.  Its
   statistic vector is ``(mass_1, mass_2, wsum_1, wsum_2)``.
 
-Numerics: posteriors and likelihoods go through the log domain with
-max-subtraction; the pooled covariance is carried as its Cholesky factor
-so positive-definiteness is enforced structurally, and quadratic forms
-are expanded after centring on the data mean (see :func:`gmm_log_joint`).
+Numerics: pooled posteriors go through the log domain with max-subtraction;
+the pooled covariance is carried as its Cholesky factor so positive-
+definiteness is enforced structurally, and quadratic forms are expanded
+after centring on the data mean (see :func:`gmm_log_joint`).  The scalar
+posterior is one in-place logistic of the log-odds; softplus is computed
+only for the likelihood.
 """
 
 from __future__ import annotations
@@ -288,21 +290,11 @@ class PooledGmm(Model):
         return _gmm_pass(params, data, None, want_nll, self.include_norm_const)
 
 
-def _scalar_rows(data: Dataset, indices) -> np.ndarray:
-    return data.values[:, 0] if indices is None else data.values[indices, 0]
-
-
 def _logistic(d: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-d))``, overwriting ``d``.
-
-    Where ``exp(-d)`` overflows (``d < -709.78``) the result is exactly 0,
-    less than 5.6e-309 below the true value; elsewhere it is within a few
-    ulps of the softplus form ``exp(-logaddexp(0, -d))`` wherever that is a
-    normal float.
-    """
-    np.negative(d, out=d)
+    """``1 / (1 + exp(-d))`` in place of ``d``; exactly 0 where ``exp(-d)``
+    overflows (``d < -709.78``), less than 5.6e-309 below the true value."""
     with np.errstate(over="ignore"):
-        np.exp(d, out=d)
+        np.exp(np.negative(d, out=d), out=d)
     d += 1.0
     return np.divide(1.0, d, out=d)
 
@@ -357,11 +349,10 @@ class ScalarTwoGmm(Model):
               include_norm_const: bool = True):
         """One fused E-step pass: (statistic average over the rows, mean NLL).
 
-        The statistics need two reductions of ``p1``; the other two columns
-        follow from the row count and the data sum.  The likelihood uses
+        Two reductions of ``p1`` give the statistics; the likelihood uses
         ``log(w1 N1 + w2 N2) = log(w1 N1) + softplus(-d)``.
         """
-        y = _scalar_rows(data, indices)
+        y = data.values[:, 0] if indices is None else data.values[indices, 0]
         d = self._log_odds(y, params)
         sp = np.logaddexp(0.0, -d) if want_nll else None
         p1 = _logistic(d)
@@ -377,7 +368,7 @@ class ScalarTwoGmm(Model):
         return sbar, float(nll)
 
     def sbar_rows(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
-        y = _scalar_rows(data, indices)
+        y = data.values[:, 0] if indices is None else data.values[indices, 0]
         p1 = _logistic(self._log_odds(y, params))
         yp1 = y * p1
         return np.column_stack([p1, 1.0 - p1, yp1, y - yp1])
@@ -446,12 +437,8 @@ def init_random_responsibility(model: Model, data: Dataset, seed) -> np.ndarray:
 
 
 def _nearest_center(xc: np.ndarray, centers: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centre, with rows ``xc`` already centred on ``center``.
-
-    Ranks ``|c - center|^2 / 2 - (x - center) . (c - center)``, which is
-    ``|x - c|^2 / 2`` less a per-row constant, without an ``(n, g, p)``
-    difference tensor.  Centring keeps the terms of the order of the spread.
-    """
+    """Each row's nearest centre, by ``|c - center|^2 / 2 - (x - center) . (c - center)``
+    (``|x - c|^2 / 2`` less a per-row constant) with ``xc = x - center`` given."""
     cc = centers - center
     score = xc @ cc.T
     np.subtract(0.5 * np.einsum("gp,gp->g", cc, cc), score, out=score)
