@@ -12,7 +12,8 @@ and says so in CHANGES.md.
 The cases cover all eight algorithms; the corrected methods at a step
 near 1, where the float order of a direction reaches the iterate;
 warm-started FIEM, sEM-vr and SPIDER-EM through the harness with a batch
-size that does not divide n; an epsilon hit in update mode for nested
+size that does not divide n, a warm phase that diverges and a callback
+across both phases of a warm start; an epsilon hit in update mode for nested
 methods; and divergences inside a
 flat run, inside an inner loop, at a damped outer refresh and at a restart.
 """
@@ -23,9 +24,9 @@ import numpy as np
 import pytest
 
 from emvr import (MinibatchSampler, ScalarTwoGmm, ScalarTwoGmmParams,
-                  StepSchedule, full_stats, run_em, run_fiem, run_iem,
-                  run_online_em, run_sem_vr, run_spider_em, run_spider_em_cv,
-                  run_spider_em_pl)
+                  StepSchedule, full_stats, hybrid_warm_start, run_em, run_fiem,
+                  run_iem, run_online_em, run_sem_vr, run_spider_em,
+                  run_spider_em_cv, run_spider_em_pl)
 from emvr.data import gen_scalar_mixture
 from emvr.harness import (ExperimentConfig, build_dataset, build_model,
                           initial_stats, run_single)
@@ -132,6 +133,14 @@ CASES = {
     "warm-spider-em": lambda m, d, s: _harness("spider-em", batch_size=7),
     "warm-spider-em-pl": lambda m, d, s: _harness("spider-em-pl", batch_size=7,
                                                   k_in=4, k_out=3, epochs=None),
+    # a warm phase that diverges ends the run before the main method starts
+    "warm-diverged": lambda m, d, s: _harness("spider-em", batch_size=2, gamma=25.0,
+                                              metric="none"),
+    # the callback sees both phases of a warm-started run
+    "warm-callback": lambda m, d, s: _with_callback(lambda cb: hybrid_warm_start(
+        m, d, s, _smp(5), _gamma(0.2), 1, lambda s1, smp: run_spider_em(
+            m, d, s1, smp, _gamma(0.2), 2, 4, callback=cb, **UPDATE),
+        callback=cb, **UPDATE)),
 }
 
 GOLDEN = {
@@ -158,6 +167,8 @@ GOLDEN = {
     'spider-em-pl-diverged': '921e8abe5f418f97b00f29ff18e00cb86fce85636b951155cfd472b244d33ef6',
     'spider-em-pl-diverged-restart': '05066f5905322ccd473f7bf8d0d292dcdab47f94d548398c564f708040044949',
     'spider-em-pl-hit': '17d7aa713e07f70dfea1bdf35f4d7b08f02d8489353b8713d29654aaabb9add0',
+    'warm-callback': 'cd7a42b12956bdd73f78857bd85736a62dddce213fff7f5c9ebb799c88507747',
+    'warm-diverged': '83af08e775dcfec2cfc737ea98e8fbc2c7e3f0aa7fb0d99fb98b2f09edff1af9',
     'warm-fiem': '73f1afe5ded7add6bcfb642da53496f01c68338412423684ea486d509e056a25',
     'warm-sem-vr': 'ee8ca2f994272a7bc61009178ee659d62af8679525fdaab09cd3b50795af2e05',
     'warm-spider-em': 'a6628c79adc58703694cfe5b93d9a7abe9527eeabf7ed98ae7ff69af0a7a233d',
@@ -214,6 +225,15 @@ def test_cases_reach_their_outcomes(monkeypatch):
         assert tr[name].algorithm.startswith("warmup+")
         assert tr[name].status == "completed"
     assert tr["spider-em-callback"].callback_log
+    # the warm phase diverges, so the trace stays online EM's
+    diverged = tr["warm-diverged"]
+    assert diverged.algorithm == "online-em" and diverged.status == "diverged"
+    assert diverged.diverged_at[1] > 0
+    warm = tr["warm-callback"]
+    assert warm.algorithm == "warmup+spider-em" and warm.status == "completed"
+    phases = [entry[0] for entry in warm.callback_log]
+    assert phases == sorted(phases, key=lambda p: p != "warmup")
+    assert {"warmup", "spider-em"} == set(phases)
 
 
 if __name__ == "__main__":
