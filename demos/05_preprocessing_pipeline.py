@@ -8,8 +8,7 @@ on the projected data with a warm-started run.
 
 import numpy as np
 
-from emvr import Dataset, MinibatchSampler, PooledGmm, StepSchedule, run_spider_em
-from emvr.algorithms import hybrid_warm_start
+from emvr import Dataset, MinibatchSampler, PooledGmm, StepSchedule, run_algorithm
 from emvr.data import (gen_multivariate_mixture, pca_apply, pca_fit,
                        remove_constant_features)
 from emvr.gmm import init_random_responsibility
@@ -32,11 +31,9 @@ s0 = init_random_responsibility(model, proj, seed=0)
 gamma = StepSchedule.constant(5e-3)
 b = 100
 
-trace = hybrid_warm_start(
-    model, proj, s0, MinibatchSampler(b, seed=7), gamma, warm_epochs=2,
-    run_main=lambda s, sampler: run_spider_em(
-        model, proj, s, sampler, gamma,
-        k_out=14, k_in=proj.n // b + 1))
+# two epochs of online EM, then SPIDER-EM from where they end, in one trace
+trace = run_algorithm("spider-em", model, proj, s0, MinibatchSampler(b, seed=7), gamma,
+                      None, k_out=14, k_in=proj.n // b + 1, warm_epochs=2)
 
 for r in trace.records:
     if r.epoch in (0.0, 2.0, 10.0, 20.0, 30.0):

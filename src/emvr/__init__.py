@@ -13,7 +13,7 @@ from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    fd_natural_jacobian, fd_objective_gradient, full_stats,
                    mean_field, minibatch_stats, mstep, objective)
 from .algorithms import (PerSampleStatStore, RunTrace, StepSchedule,
-                         TraceRecord, hybrid_warm_start, randomized_terminate,
+                         TraceRecord, randomized_terminate, run_algorithm,
                          run_em, run_fiem, run_iem, run_online_em, run_sem_vr,
                          run_spider_em, run_spider_em_cv, run_spider_em_pl,
                          theoretical_step_size)

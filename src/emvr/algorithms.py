@@ -7,8 +7,9 @@ the checkpoint recorder, divergence handling and the outer/inner control
 of the nested methods.  Each method is a small estimator class, registered
 by name in :data:`ESTIMATORS`, that declares what the driver and the
 harness need to know of it.  The eight ``run_*`` functions are thin
-wrappers around the driver, and :func:`hybrid_warm_start` runs an online-EM
-phase that the main run continues in the same trace.
+wrappers around the driver.  :func:`run_algorithm` runs a method by name
+and can warm-start it: the driver then runs online EM for a number of
+data passes first, and the method continues in the same trace.
 
 Every run owns its statistic vector, sampler and counters; divergence
 (an inadmissible statistic or a non-finite entry) marks the trace instead
@@ -20,9 +21,7 @@ algorithmic accounting stays comparable across methods.
 from __future__ import annotations
 
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,23 +141,18 @@ class RunTrace:
 
 
 class _Recorder:
-    """Checkpoint bookkeeping of one run phase.
+    """Checkpoint bookkeeping of one run, labelled by its current phase.
 
     ``metric_mode``: "epoch" records whenever the epoch counter crosses an
     integer, "update" records after every statistic update, "none" records
     only the initial and final states.  Metric evaluation charges the
     monitor counters, never the algorithmic ones.
-
-    A phase that continues a warm phase (``after``) shares its trace and
-    clock.  Its records carry tau and epoch offset by the warm phase's last
-    record and warm epochs, and its starting state, which closed the warm
-    phase's records, is evaluated but not recorded again.
     """
 
-    def __init__(self, model: Model, data: Dataset, trace: RunTrace, *,
+    def __init__(self, model: Model, data: Dataset, trace: RunTrace, phase: str, *,
                  metric_mode: str = "epoch", compute_objective: bool = True,
                  epsilon: float | None = None, snapshot_mode: str = "none",
-                 callback=None, phase: str | None = None, after=None):
+                 callback=None):
         if metric_mode not in ("epoch", "update", "none"):
             raise ValueError(f"unknown metric_mode {metric_mode!r}")
         if snapshot_mode not in ("none", "checkpoint", "every-update"):
@@ -171,14 +165,18 @@ class _Recorder:
         self.epsilon = epsilon
         self.snapshot_mode = snapshot_mode
         self.callback = callback
-        self.phase = phase or trace.algorithm
+        self.phase, self._tau0, self._epoch0, self._skip = phase, 0, 0, False
         self._next_epoch = 1.0
-        if after is None:
-            self._t0 = time.perf_counter()
-            self._tau0, self._epoch0, self._skip = 0, 0, False
-        else:
-            self._t0 = after.rec._t0
-            self._tau0, self._epoch0, self._skip = trace.records[-1].tau, after.epochs, True
+        self._t0 = time.perf_counter()
+
+    def resume(self, phase: str, tau0: int, epoch0: int) -> None:
+        """Start ``phase``, which continues the last one on the same clock.
+
+        Its records carry tau and epoch offset by ``tau0`` and ``epoch0``, and
+        its starting state, which closed the last phase's records, is
+        evaluated but not recorded again."""
+        self.phase, self._tau0, self._epoch0, self._skip = phase, tau0, epoch0, True
+        self._next_epoch = 1.0
 
     def snapshot(self, t: int, k: int, s: np.ndarray) -> None:
         if self.snapshot_mode == "every-update":
@@ -485,44 +483,50 @@ class _Stop(Exception):
         self.status = status
 
 
-class _Handoff(NamedTuple):
-    rec: _Recorder      # the completed warm phase's recorder
-    sampler: MinibatchSampler
-    epochs: int
-
-
-# a completed warm phase waiting for the run that continues it
-_WARM: ContextVar[_Handoff | None] = ContextVar("_WARM", default=None)
-
-
 def _run(est: _Estimator, s_init, schedule, *, k_max=None, k_in=None, k_out=None,
-         outer_gamma=None, phase=None, **record) -> _Recorder:
-    """The one update loop; returns the recorder, which holds the trace.
-
-    An initial refit, then outer loops of inner updates ``s <- s + gamma_tau
-    * direction``, each nested loop closed by a full refresh, damped or
-    restarting.  tau counts updates, damped refreshes included; positions
-    are (outer t, inner k, tau).  The run continues the trace of a warm
-    phase handed over on the same sampler."""
+         outer_gamma=None, warm_epochs=0, **record) -> RunTrace:
+    """The one driver; returns the run's trace.  A warm phase of online EM
+    on the method's sampler shares the trace, recorder, clock and counters
+    with the method's phase, which starts from its last iterate."""
     if est.refresh is None:
         k_in = k_out = None
     else:
         k_max = None
         if k_in < 2:
             raise ValueError("k_in must be at least 2")
+    if warm_epochs < 0:
+        raise ValueError("warm_epochs must be >= 0")
     s = _check_start(est.model, s_init)
-    warm = _WARM.get()
-    if warm is not None and warm.sampler is est.sampler:
-        _WARM.set(None)
-        trace = warm.rec.trace
+    if warm_epochs:
+        warm = _Online(est.model, est.data, est.sampler)
+        iters = warm_epochs * max(1, round(est.data.n / warm.b))
+        trace = RunTrace(warm.name, est.data.n, batch_size=warm.b, k_max=iters)
+        rec = _Recorder(est.model, est.data, trace, "warmup", **record)
+        _phase(warm, rec, s, schedule, k_max=iters)
+        if trace.status != STATUS_COMPLETED:
+            return trace
+        s = trace.s_final
         trace.algorithm = f"warmup+{est.name}"
-        trace.k_in, trace.k_out, trace.k_max = k_in, k_out, k_max
+        rec.resume(est.name, iters, warm_epochs)
     else:
-        warm = None
-        trace = RunTrace(est.name, est.data.n, batch_size=None if est.full_batch else est.b,
-                         k_in=k_in, k_out=k_out, k_max=k_max)
-    rec = _Recorder(est.model, est.data, trace, phase=phase or est.name, after=warm,
-                    **record)
+        trace = RunTrace(est.name, est.data.n, batch_size=None if est.full_batch else est.b)
+        rec = _Recorder(est.model, est.data, trace, est.name, **record)
+    trace.k_in, trace.k_out, trace.k_max = k_in, k_out, k_max
+    _phase(est, rec, s, schedule, k_max=k_max, k_in=k_in, k_out=k_out,
+           outer_gamma=outer_gamma)
+    return trace
+
+
+def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=None,
+           k_in=None, k_out=None, outer_gamma=None) -> None:
+    """The one update loop, run into ``rec``'s trace, which it closes with a
+    status and the last iterate.
+
+    An initial refit, then outer loops of inner updates ``s <- s + gamma_tau
+    * direction``, each nested loop closed by a full refresh, damped or
+    restarting.  tau counts updates, damped refreshes included; positions
+    are (outer t, inner k, tau)."""
+    trace = rec.trace
     est.counters = trace.counters
     n, pos, tau, selections = est.data.n, (1, 0, 0), 0, 0
     try:
@@ -568,21 +572,26 @@ def _run(est: _Estimator, s_init, schedule, *, k_max=None, k_in=None, k_out=None
     except _Stop as stop:
         trace.status = stop.status
     trace.s_final = s.copy()
-    return rec
 
 
 def run_algorithm(name: str, model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
                   schedule: StepSchedule, seeds, *, k_max=None, k_in=None, k_out=None,
-                  outer_gamma=None, **record) -> RunTrace:
+                  outer_gamma=None, warm_epochs: int = 0, **record) -> RunTrace:
     """Run the method registered as ``name`` in :data:`ESTIMATORS`.
 
     A flat method uses ``k_max``, a nested one ``k_in`` and ``k_out`` (and a
     damped one ``outer_gamma``).  ``seeds(tag)`` returns the seed sequence of
     an extra random stream, for a method that needs one; ``record`` takes
-    the recording keywords of the ``run_*`` routines."""
+    the recording keywords of the ``run_*`` routines.
+
+    ``warm_epochs`` data passes of online EM on ``sampler`` (phase
+    ``warmup``, same schedule) come first.  The method's records follow in
+    the trace, renamed ``warmup+<name>``, with tau and epoch offset by the
+    warm updates and epochs; a warm phase that does not complete ends the
+    run as ``online-em``."""
     est = ESTIMATORS[name].seeded(model, data, sampler, seeds)
     return _run(est, s_init, schedule, k_max=k_max, k_in=k_in, k_out=k_out,
-                outer_gamma=outer_gamma, **record).trace
+                outer_gamma=outer_gamma, warm_epochs=warm_epochs, **record)
 
 
 def _record(metric_mode, compute_objective, epsilon, snapshot_mode, callback) -> dict:
@@ -598,7 +607,7 @@ def run_em(model: Model, data: Dataset, s_init, k_max: int, *,
     refit average.  Costs n conditional expectations and one M-step per
     update (plus the same once for the initial refit)."""
     return _run(_FullRefit(model, data), s_init, None, k_max=k_max, **_record(
-        metric_mode, compute_objective, epsilon, snapshot_mode, callback)).trace
+        metric_mode, compute_objective, epsilon, snapshot_mode, callback))
 
 
 def run_online_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -610,7 +619,7 @@ def run_online_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler
     refit average with step gamma_k.  One minibatch E-step and one M-step
     per update, after an initial full refit."""
     return _run(_Online(model, data, sampler), s_init, schedule, k_max=k_max, **_record(
-        metric_mode, compute_objective, epsilon, snapshot_mode, callback)).trace
+        metric_mode, compute_objective, epsilon, snapshot_mode, callback))
 
 
 def run_iem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -625,7 +634,7 @@ def run_iem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
         schedule = StepSchedule.constant(1.0)
     return _run(_Store(model, data, sampler, max_store_bytes), s_init, schedule,
                 k_max=k_max, **_record(metric_mode, compute_objective, epsilon,
-                                       snapshot_mode, callback)).trace
+                                       snapshot_mode, callback))
 
 
 def run_fiem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -641,7 +650,7 @@ def run_fiem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
     Costs 2b conditional expectations and one M-step per update."""
     return _run(_StoreCv(model, data, sampler, sampler_extra, max_store_bytes), s_init,
                 schedule, k_max=k_max, **_record(metric_mode, compute_objective, epsilon,
-                                                 snapshot_mode, callback)).trace
+                                                 snapshot_mode, callback))
 
 
 def run_sem_vr(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -659,7 +668,7 @@ def run_sem_vr(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
     costs n and one."""
     return _run(_Anchor(model, data, sampler), s_init, schedule, k_in=k_in, k_out=k_out,
                 outer_gamma=outer_gamma, **_record(metric_mode, compute_objective,
-                                                   epsilon, snapshot_mode, callback)).trace
+                                                   epsilon, snapshot_mode, callback))
 
 
 def run_spider_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -677,7 +686,7 @@ def run_spider_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler
     return _run(_PathIntegrated(model, data, sampler), s_init, schedule, k_in=k_in,
                 k_out=k_out, outer_gamma=outer_gamma, **_record(
                     metric_mode, compute_objective, epsilon, snapshot_mode,
-                    callback)).trace
+                    callback))
 
 
 def run_spider_em_cv(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -692,7 +701,7 @@ def run_spider_em_cv(model: Model, data: Dataset, s_init, sampler: MinibatchSamp
     return _run(_ExplicitCv(model, data, sampler), s_init, schedule, k_in=k_in,
                 k_out=k_out, outer_gamma=outer_gamma, **_record(
                     metric_mode, compute_objective, epsilon, snapshot_mode,
-                    callback)).trace
+                    callback))
 
 
 def run_spider_em_pl(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
@@ -706,40 +715,7 @@ def run_spider_em_pl(model: Model, data: Dataset, s_init, sampler: MinibatchSamp
     ``rng`` drives only the inner-length draws."""
     return _run(_Restart(model, data, sampler, rng), s_init, schedule, k_in=k_in,
                 k_out=k_out, **_record(metric_mode, compute_objective, epsilon,
-                                       snapshot_mode, callback)).trace
-
-
-def hybrid_warm_start(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                      schedule: StepSchedule, warm_epochs: int, run_main, *,
-                      metric_mode: str = "epoch", compute_objective: bool = True,
-                      epsilon: float | None = None, snapshot_mode: str = "none",
-                      callback=None) -> RunTrace:
-    """Run stochastic-approximation EM for ``warm_epochs`` data passes, then
-    hand the statistics and the same sampler stream to ``run_main(s,
-    sampler)``, which must start one of the ``run_*`` routines from them.
-
-    That run continues the warm phase's trace, clock and counters: its
-    records follow the warm phase's with tau and epoch offset by the warm
-    phase's updates and ``warm_epochs``, and each record names its phase.
-    A warm phase that does not complete ends the run.  ``warm_epochs=0``
-    skips the warm phase entirely."""
-    if warm_epochs < 0:
-        raise ValueError("warm_epochs must be >= 0")
-    if warm_epochs == 0:
-        return run_main(np.asarray(s_init, dtype=np.float64), sampler)
-    iters = warm_epochs * max(1, round(data.n / sampler.batch_size))
-    rec = _run(_Online(model, data, sampler), s_init, schedule, k_max=iters, phase="warmup",
-               **_record(metric_mode, compute_objective, epsilon, snapshot_mode, callback))
-    if rec.trace.status != STATUS_COMPLETED:
-        return rec.trace
-    token = _WARM.set(_Handoff(rec, sampler, warm_epochs))
-    try:
-        main = run_main(rec.trace.s_final, sampler)
-        if _WARM.get() is not None:
-            raise ValueError("run_main must start a run_* routine on the sampler it is given")
-        return main
-    finally:
-        _WARM.reset(token)
+                                       snapshot_mode, callback))
 
 
 def randomized_terminate(trace: RunTrace, rng) -> tuple[int, int, np.ndarray]:

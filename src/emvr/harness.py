@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import (ESTIMATORS, RunTrace, StepSchedule, hybrid_warm_start,
-                         run_algorithm)
+from .algorithms import ESTIMATORS, RunTrace, StepSchedule, run_algorithm
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    MinibatchSampler)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
@@ -286,20 +285,17 @@ def run_single(cfg: ExperimentConfig, algo: str, seed: int, model, data: Dataset
     """One (algorithm, seed) run with the config's sampling/step settings."""
     off = seed_offset()
     k_max, k_in, k_out, warm = _derived_lengths(cfg, algo, data.n)
-    schedule = _make_schedule(cfg, algo)
-    common = dict(metric_mode=cfg.metric, epsilon=cfg.epsilon,
-                  snapshot_mode=cfg.snapshot,
-                  compute_objective=cfg.metric != "update")
 
     def seeds(*tags):
         return np.random.SeedSequence([seed + off, *tags])
 
-    def main(s, smp):
-        return run_algorithm(algo, model, data, s, smp, schedule, seeds, k_max=k_max,
-                             k_in=k_in, k_out=k_out, outer_gamma=cfg.outer_gamma, **common)
-
     sampler = MinibatchSampler(cfg.batch_size or data.n, seeds(), mode=cfg.sampling)
-    return hybrid_warm_start(model, data, s_init, sampler, schedule, warm, main, **common)
+    return run_algorithm(algo, model, data, s_init, sampler, _make_schedule(cfg, algo),
+                         seeds, k_max=k_max, k_in=k_in, k_out=k_out,
+                         outer_gamma=cfg.outer_gamma, warm_epochs=warm,
+                         metric_mode=cfg.metric, epsilon=cfg.epsilon,
+                         snapshot_mode=cfg.snapshot,
+                         compute_objective=cfg.metric != "update")
 
 
 def _make_schedule(cfg: ExperimentConfig, algo: str) -> StepSchedule:

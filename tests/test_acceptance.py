@@ -332,9 +332,8 @@ def test_09_affine_constraint_conservation(variance_reduction_runs):
     #   iem, fiem:         0 (fiem restarts from its store mean);
     #   spider-em:         (1 - gamma)**tau * D(handoff), tau = (t-1) k_in + k,
     #                      one relaxation per inner step and per refresh.
-    # Predictions are keyed on snapshot labels, not records:
-    # hybrid_warm_start keeps the main phase's tau=0 snapshot but drops its
-    # record.
+    # Predictions are keyed on snapshot labels, not records: a warm-started
+    # run keeps the main phase's tau=0 snapshot but drops its record.
     cfg = variance_reduction_runs["cfg"]
     data = variance_reduction_runs["data"]
     traces = variance_reduction_runs["traces"]

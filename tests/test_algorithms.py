@@ -6,8 +6,8 @@ from scipy.stats import norm
 
 from emvr import (WITHOUT_REPLACEMENT, Dataset, MinibatchSampler,
                   PerSampleStatStore, ScalarTwoGmm, ScalarTwoGmmParams,
-                  StepSchedule, full_stats, hybrid_warm_start, mean_field,
-                  minibatch_stats, randomized_terminate, run_em, run_fiem,
+                  StepSchedule, full_stats, mean_field, minibatch_stats,
+                  randomized_terminate, run_algorithm, run_em, run_fiem,
                   run_iem, run_online_em, run_sem_vr, run_spider_em,
                   run_spider_em_cv, run_spider_em_pl, theoretical_step_size)
 from emvr.algorithms import RunTrace
@@ -485,27 +485,21 @@ class TestSpiderEmPl:
 class TestHybridWarmStart:
     def test_zero_epochs_is_identity(self):
         model, data, s0 = overlapping_scalar()
-
-        def main(s, sampler):
-            return run_spider_em(model, data, s, sampler, StepSchedule.constant(0.2),
-                                 2, 4, metric_mode="none")
-
-        direct = main(s0, MinibatchSampler(4, seed=9))
-        hybrid = hybrid_warm_start(model, data, s0, MinibatchSampler(4, seed=9),
-                                   StepSchedule.constant(0.2), 0, main)
+        gamma = StepSchedule.constant(0.2)
+        direct = run_spider_em(model, data, s0, MinibatchSampler(4, seed=9), gamma,
+                               2, 4, metric_mode="none")
+        hybrid = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=9),
+                               gamma, None, k_in=4, k_out=2, warm_epochs=0,
+                               metric_mode="none")
         assert np.array_equal(direct.s_final, hybrid.s_final)
         assert direct.counters == hybrid.counters
 
     def test_phase_boundary_and_additive_counters(self):
         model, data, s0 = overlapping_scalar(n=32)
         gamma = StepSchedule.constant(0.2)
-
-        def main(s, sampler):
-            return run_spider_em(model, data, s, sampler, gamma, 3, 9,
-                                 metric_mode="epoch")
-
-        trace = hybrid_warm_start(model, data, s0, MinibatchSampler(4, seed=9),
-                                  gamma, 2, main, metric_mode="epoch")
+        trace = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=9),
+                              gamma, None, k_in=9, k_out=3, warm_epochs=2,
+                              metric_mode="epoch")
         phases = [(r.phase, r.epoch) for r in trace.records]
         warm = [e for p, e in phases if p == "warmup"]
         rest = [e for p, e in phases if p != "warmup"]
@@ -515,16 +509,6 @@ class TestHybridWarmStart:
         main_ce, main_m = expected_totals("spider-em", data.n, b=4, k_in=9, k_out=3)
         assert trace.counters.ce == warm_ce + main_ce
         assert trace.counters.mstep == (1 + 16) + main_m
-
-    def test_main_phase_must_continue_the_sampler(self):
-        model, data, s0 = overlapping_scalar()
-        gamma = StepSchedule.constant(0.2)
-
-        def main(s, sampler):
-            return run_spider_em(model, data, s, MinibatchSampler(4, seed=1), gamma, 2, 4)
-
-        with pytest.raises(ValueError, match="run_main"):
-            hybrid_warm_start(model, data, s0, MinibatchSampler(4, seed=9), gamma, 1, main)
 
 
 class TestRandomizedTermination:

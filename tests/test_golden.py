@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from emvr import (MinibatchSampler, ScalarTwoGmm, ScalarTwoGmmParams,
-                  StepSchedule, full_stats, hybrid_warm_start, run_em, run_fiem,
+                  StepSchedule, full_stats, run_algorithm, run_em, run_fiem,
                   run_iem, run_online_em, run_sem_vr, run_spider_em,
                   run_spider_em_cv, run_spider_em_pl)
 from emvr.data import gen_scalar_mixture
@@ -137,10 +137,9 @@ CASES = {
     "warm-diverged": lambda m, d, s: _harness("spider-em", batch_size=2, gamma=25.0,
                                               metric="none"),
     # the callback sees both phases of a warm-started run
-    "warm-callback": lambda m, d, s: _with_callback(lambda cb: hybrid_warm_start(
-        m, d, s, _smp(5), _gamma(0.2), 1, lambda s1, smp: run_spider_em(
-            m, d, s1, smp, _gamma(0.2), 2, 4, callback=cb, **UPDATE),
-        callback=cb, **UPDATE)),
+    "warm-callback": lambda m, d, s: _with_callback(lambda cb: run_algorithm(
+        "spider-em", m, d, s, _smp(5), _gamma(0.2), None, k_in=4, k_out=2,
+        warm_epochs=1, callback=cb, **UPDATE)),
 }
 
 GOLDEN = {
