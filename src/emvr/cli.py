@@ -19,7 +19,8 @@ from .core import MinibatchSampler, full_stats, mean_field, minibatch_stats
 from .data import gen_multivariate_mixture, gen_scalar_mixture, save_dataset
 from .gmm import PooledGmm, init_random_responsibility
 from .harness import (ConfigError, ExperimentConfig, estimate_complexity,
-                      parse_config, run_experiment, summarize_quantiles)
+                      parse_config, run_experiment, summarize_quantiles,
+                      validate_config)
 
 EX_OK, EX_CONFIG, EX_DIVERGED, EX_CHECK = 0, 1, 2, 3
 
@@ -73,6 +74,7 @@ def _cmd_compare(args) -> int:
         init_seed=args.init_seed, algorithms=algos, seeds=seeds,
         batch_size=args.batch_size, epochs=args.epochs, warm_epochs=args.kswitch,
         gamma=args.gamma, out_dir=args.out, jobs=args.jobs)
+    validate_config(cfg)
     summary = run_experiment(cfg, progress=_progress(args))
     out = Path(args.out)
     quantiles = [float(q) for q in args.quantiles.split(",")]

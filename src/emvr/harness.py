@@ -195,6 +195,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[run] seeds must not be empty")
     if cfg.warm_epochs < 0:
         raise ConfigError("[run] warm_epochs must be >= 0")
+    if (cfg.epochs is not None and cfg.warm_epochs > cfg.epochs
+            and any(ESTIMATORS[a].warm for a in cfg.algorithms)):
+        raise ConfigError(f"[run] warm_epochs = {cfg.warm_epochs} exceeds "
+                          f"epochs = {cfg.epochs}")
     if cfg.model_kind == "scalar2" and cfg.data_kind == "multivariate-mixture":
         raise ConfigError("[data] scalar2 model needs 1-d data")
     if cfg.model_kind == "gmm" and cfg.init_kind == "spread-means":

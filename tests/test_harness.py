@@ -116,6 +116,10 @@ outer_gamma = 0.75
         # an unknown snapshot mode is a config error, not a traceback mid-run
         with pytest.raises(ConfigError, match=r"\[run\] snapshot"):
             parse_config("[run]\nsnapshot = bogus\nalgorithms = em\nk_max = 3\n")
+        # a warm start longer than the epoch budget leaves the method no updates
+        with pytest.raises(ConfigError, match=r"\[run\] warm_epochs"):
+            parse_config("[run]\nalgorithms = spider-em\nbatch_size = 4\nepochs = 2\n"
+                         "warm_epochs = 4\n")
 
     def test_consistency_checks(self):
         with pytest.raises(ConfigError, match="needs k_in and k_out"):
@@ -463,3 +467,12 @@ class TestCli:
                          "--kswitch", "2", "--out", str(tmp_path / "cmp"),
                          "--quiet"]) == 0
         assert (tmp_path / "cmp" / "quantiles_spider-em.csv").exists()
+
+    def test_compare_validates_its_config(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert cli_main(["compare", "--algos", "spider-em", "--epochs", "2",
+                         "--kswitch", "4", "--n", "200", "--components", "2",
+                         "--dim", "2", "--batch-size", "20", "--seeds", "2",
+                         "--out", str(out), "--quiet"]) == 1
+        assert "warm_epochs" in capsys.readouterr().err
+        assert not out.exists()
