@@ -358,14 +358,10 @@ class _Store(_Estimator):
 
     name, unit_step = "iem", True
 
-    def __init__(self, model, data, sampler, max_store_bytes: int = 2 << 30):
-        super().__init__(model, data, sampler)
-        self.max_store_bytes = max_store_bytes
-
     def refit(self, s):
         rows = self.model.sbar_rows(self.data, None, self._mstep(s)).copy()
         self.counters.ce += self.data.n
-        self.store = PerSampleStatStore(rows, max_bytes=self.max_store_bytes)
+        self.store = PerSampleStatStore(rows)
         return self.store.mean.copy()
 
     def _refresh(self, s):
@@ -387,9 +383,8 @@ class _StoreCv(_Store):
 
     name, passes, warm, unit_step = "fiem", 2, True, False
 
-    def __init__(self, model, data, sampler, sampler_extra: MinibatchSampler,
-                 max_store_bytes: int = 2 << 30):
-        super().__init__(model, data, sampler, max_store_bytes)
+    def __init__(self, model, data, sampler, sampler_extra: MinibatchSampler):
+        super().__init__(model, data, sampler)
         self.sampler_extra = sampler_extra
 
     @classmethod
@@ -624,31 +619,31 @@ def run_online_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler
 
 def run_iem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
             schedule: StepSchedule | None = None, k_max: int = 0, *,
-            max_store_bytes: int = 2 << 30, metric_mode: str = "epoch",
-            compute_objective: bool = True, epsilon: float | None = None,
-            snapshot_mode: str = "none", callback=None) -> RunTrace:
+            metric_mode: str = "epoch", compute_objective: bool = True,
+            epsilon: float | None = None, snapshot_mode: str = "none",
+            callback=None) -> RunTrace:
     """Incremental EM: refresh the stored per-sample statistics on each
     batch and track their mean.  Default step size is 1 (the statistics
-    equal the store mean).  Memory is n*q floats, capped."""
+    equal the store mean).  Memory is n*q floats, capped at 2 GiB."""
     if schedule is None:
         schedule = StepSchedule.constant(1.0)
-    return _run(_Store(model, data, sampler, max_store_bytes), s_init, schedule,
+    return _run(_Store(model, data, sampler), s_init, schedule,
                 k_max=k_max, **_record(metric_mode, compute_objective, epsilon,
                                        snapshot_mode, callback))
 
 
 def run_fiem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
              sampler_extra: MinibatchSampler, schedule: StepSchedule, k_max: int, *,
-             max_store_bytes: int = 2 << 30, metric_mode: str = "epoch",
-             compute_objective: bool = True, epsilon: float | None = None,
-             snapshot_mode: str = "none", callback=None) -> RunTrace:
+             metric_mode: str = "epoch", compute_objective: bool = True,
+             epsilon: float | None = None, snapshot_mode: str = "none",
+             callback=None) -> RunTrace:
     """Incremental EM with a store-based control variate.
 
     Each update refreshes the store on one batch, then steps along a second,
     independent batch direction corrected by ``store mean - store batch
     mean``, which keeps the step unbiased for the exact mean field.
     Costs 2b conditional expectations and one M-step per update."""
-    return _run(_StoreCv(model, data, sampler, sampler_extra, max_store_bytes), s_init,
+    return _run(_StoreCv(model, data, sampler, sampler_extra), s_init,
                 schedule, k_max=k_max, **_record(metric_mode, compute_objective, epsilon,
                                                  snapshot_mode, callback))
 
