@@ -398,30 +398,6 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
 # oracle-cost accounting
 
 
-def epoch_accounting(algorithm: str, n: int, b: int, k_in: int | None = None):
-    """Per-epoch oracle costs: list of (phase, ce, msteps).
-
-    One epoch selects n examples.  Full-batch EM spends it on a single
-    refit; minibatch methods spend it on n/b updates; the nested-loop
-    methods alternate a refresh epoch (n, 1) with an inner epoch (2n, n/b).
-    """
-    if algorithm not in ESTIMATORS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    est = ESTIMATORS[algorithm]
-    if est.refresh == "restart":
-        raise ValueError("the restart variant has a random epoch structure")
-    if est.full_batch:
-        return [("full", n, 1)]
-    if b < 1 or n % b:
-        raise ValueError(f"epoch accounting needs b | n, got n={n}, b={b}")
-    per = n // b
-    if est.refresh is None:
-        return [("inner", est.passes * n, per)]
-    if k_in is not None and k_in != per + 1:
-        raise ValueError(f"nested epoch structure needs k_in = n/b + 1 = {per + 1}")
-    return [("refresh", n, 1), ("inner", est.passes * n, per)]
-
-
 def expected_totals(algorithm: str, n: int, b: int | None = None,
                     k_in: int | None = None, k_out: int | None = None,
                     k_max: int | None = None, xi=None) -> tuple[int, int]:

@@ -4,7 +4,7 @@ import pytest
 from emvr.cli import main as cli_main
 from emvr.harness import (ConfigError, ExperimentConfig,
                           build_dataset, build_model, canonical_config,
-                          config_hash, epoch_accounting, estimate_complexity,
+                          config_hash, estimate_complexity,
                           expected_totals, initial_stats, parse_config,
                           read_trace_csv, run_experiment, run_single,
                           summarize_quantiles, trace_to_csv)
@@ -138,40 +138,6 @@ outer_gamma = 0.75
         b.gamma = 0.2
         assert config_hash(a) != config_hash(b)
         assert "gamma = 0.2" in canonical_config(b)
-
-
-class TestEpochAccounting:
-    def test_enumerated_costs(self):
-        assert epoch_accounting("em", 1000, 10) == [("full", 1000, 1)]
-        assert epoch_accounting("online-em", 1000, 10) == [("inner", 1000, 100)]
-        assert epoch_accounting("iem", 1000, 10) == [("inner", 1000, 100)]
-        assert epoch_accounting("fiem", 1000, 10) == [("inner", 2000, 100)]
-        assert epoch_accounting("spider-em", 10_000, 100, k_in=101) == [
-            ("refresh", 10_000, 1), ("inner", 20_000, 100)]
-        assert epoch_accounting("sem-vr", 10_000, 100, k_in=101) == [
-            ("refresh", 10_000, 1), ("inner", 20_000, 100)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            epoch_accounting("spider-em-pl", 100, 10)
-        with pytest.raises(ValueError):
-            epoch_accounting("online-em", 100, 7)
-        with pytest.raises(ValueError):
-            epoch_accounting("spider-em", 100, 10, k_in=4)
-
-    def test_totals_agree_with_epoch_sums(self):
-        # a full-epoch run's terminal counters equal the initialization
-        # pass plus the per-epoch enumeration
-        n, b, epochs = 60, 6, 4
-        per = n // b
-        (name, ce, ms), = epoch_accounting("fiem", n, b)
-        total = expected_totals("fiem", n, b=b, k_max=epochs * per)
-        assert total == (n + epochs * ce, 1 + epochs * ms)
-        phases = epoch_accounting("spider-em", n, b, k_in=per + 1)
-        ce_sum = sum(c for _, c, _ in phases)
-        ms_sum = sum(m for _, _, m in phases)
-        total = expected_totals("spider-em", n, b=b, k_in=per + 1, k_out=epochs)
-        assert total == (n + epochs * ce_sum, 1 + epochs * ms_sum)
 
 
 class TestRunExperiment:
