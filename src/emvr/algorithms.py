@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -241,33 +242,41 @@ def _check_finite(s: np.ndarray) -> None:
 
 
 class PerSampleStatStore:
-    """Per-sample statistic rows plus their incrementally maintained mean.
+    """Per-sample compact rows plus the incrementally maintained statistic mean.
 
+    ``lift(indices, w)`` maps the compact rows ``w`` of ``indices`` (all rows
+    if ``None``) to the statistic summed over them, linearly in ``w``; the
+    default, for rows that are the statistics themselves, is their sum.
     Batch updates deduplicate indices so the running mean stays the exact
-    arithmetic mean of the stored rows up to accumulation error;
+    lifted mean of the stored rows up to accumulation error;
     :meth:`exact_mean` recomputes it from scratch for verification.
     """
 
-    def __init__(self, rows: np.ndarray, max_bytes: int = 2 << 30):
+    def __init__(self, rows: np.ndarray, lift=None, max_bytes: int = 2 << 30):
         if rows.nbytes > max_bytes:
             raise ValueError(
                 f"per-sample store needs {rows.nbytes} bytes, over the {max_bytes} cap")
         self.rows = rows
-        self.mean = rows.sum(axis=0) / rows.shape[0]
+        self.lift = _row_sum if lift is None else lift
+        self.mean = self.exact_mean()
 
     def update(self, indices: np.ndarray, new_rows: np.ndarray) -> None:
         uniq, first = np.unique(indices, return_index=True)
         fresh = new_rows[first]
         delta = fresh - self.rows[uniq]
         self.rows[uniq] = fresh
-        self.mean = self.mean + delta.sum(axis=0) / self.rows.shape[0]
+        self.mean = self.mean + self.lift(uniq, delta) / self.rows.shape[0]
 
     def batch_mean(self, indices: np.ndarray) -> np.ndarray:
-        """Multiset average of stored rows over a batch (duplicates count)."""
-        return self.rows[indices].sum(axis=0) / indices.size
+        """Multiset average of the lifted rows over a batch (duplicates count)."""
+        return self.lift(indices, self.rows[indices]) / indices.size
 
     def exact_mean(self) -> np.ndarray:
-        return self.rows.sum(axis=0) / self.rows.shape[0]
+        return self.lift(None, self.rows) / self.rows.shape[0]
+
+
+def _row_sum(indices, w: np.ndarray) -> np.ndarray:
+    return w.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +363,22 @@ class _Online(_Estimator):
 
 
 class _Store(_Estimator):
-    """iEM: the mean of the per-sample statistic store."""
+    """iEM: the mean of the per-sample store, which keeps the model's
+    ``store_rows`` and sums them through its ``lift_sum``."""
 
     name, unit_step = "iem", True
 
     def refit(self, s):
-        rows = self.model.sbar_rows(self.data, None, self._mstep(s)).copy()
+        rows = self.model.store_rows(self.data, None, self._mstep(s)).copy()
         self.counters.ce += self.data.n
-        self.store = PerSampleStatStore(rows)
+        self.store = PerSampleStatStore(rows, partial(self.model.lift_sum, self.data))
         return self.store.mean.copy()
 
     def _refresh(self, s):
         """Refit the stored rows of one batch at ``s``; returns the parameters."""
         params = self._mstep(s)
         batch = self.batch()
-        rows = self.model.sbar_rows(self.data, batch, params)
+        rows = self.model.store_rows(self.data, batch, params)
         self.counters.ce += batch.size
         self.store.update(batch, rows)
         return params
@@ -624,7 +634,8 @@ def run_iem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
             callback=None) -> RunTrace:
     """Incremental EM: refresh the stored per-sample statistics on each
     batch and track their mean.  Default step size is 1 (the statistics
-    equal the store mean).  Memory is n*q floats, capped at 2 GiB."""
+    equal the store mean).  Memory is n rows of the model's ``store_rows``
+    width (g posteriors for a mixture), capped at 2 GiB."""
     if schedule is None:
         schedule = StepSchedule.constant(1.0)
     return _run(_Store(model, data, sampler), s_init, schedule,

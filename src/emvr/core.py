@@ -110,12 +110,17 @@ class Model(ABC):
     * ``stat_dim`` — length q of the statistic vector.
     * ``sbar_rows`` — per-sample conditional expectations at the given
       parameters, one row per requested index (``indices=None`` means the
-      whole dataset, in order, without copying rows); only the iEM/FIEM
-      stores and :meth:`sbar_i` need the rows themselves.
+      whole dataset, in order, without copying rows).
     * ``batch_mean`` — their average over ``indices``, the E-step of every
       batch average and full pass.  Default: ``sbar_rows(...).sum(0) / m``;
       plugins fuse it so no (m, q) row matrix is built.  A full sorted
       batch must agree bitwise with ``indices=None``.
+    * ``store_rows`` and ``lift_sum`` — what the iEM/FIEM stores keep per
+      sample, and the linear map from those compact rows back to the
+      statistic summed over them.  ``lift_sum(data, indices, w)`` must equal
+      ``sbar_rows(...)[...].sum(0)`` when ``w`` holds the compact rows of
+      ``indices`` (all rows if ``None``).  Defaults: the statistic rows
+      themselves and ``w.sum(axis=0)``; a mixture stores its posteriors.
     * ``m_step`` — the fitted parameters for a statistic vector; must be a
       deterministic pure function and raise :class:`DomainError` outside
       its domain.
@@ -154,6 +159,14 @@ class Model(ABC):
         """Average conditional expectation over ``indices`` (all rows if ``None``)."""
         m = data.n if indices is None else len(indices)
         return self.sbar_rows(data, indices, params).sum(axis=0) / m
+
+    def store_rows(self, data: Dataset, indices, params) -> np.ndarray:
+        """Compact per-sample rows for the iEM/FIEM stores (default: ``sbar_rows``)."""
+        return self.sbar_rows(data, indices, params)
+
+    def lift_sum(self, data: Dataset, indices, w: np.ndarray) -> np.ndarray:
+        """Statistic summed over the rows ``indices`` whose compact rows are ``w``."""
+        return w.sum(axis=0)
 
     def sbar_i(self, data: Dataset, i: int, params) -> np.ndarray:
         """Conditional expectation of the statistics for sample ``i``."""

@@ -70,6 +70,17 @@ class GmmParams:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "cov_chol", lc)
 
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, means: np.ndarray,
+                 cov_chol: np.ndarray) -> "GmmParams":
+        """Freeze and wrap arrays the caller has just made and owns, without the
+        copies and checks of ``__post_init__``; they must already pass them."""
+        params = object.__new__(cls)
+        for name, arr in (("weights", weights), ("means", means), ("cov_chol", cov_chol)):
+            arr.setflags(write=False)
+            object.__setattr__(params, name, arr)
+        return params
+
     @property
     def n_components(self) -> int:
         return self.weights.size
@@ -151,13 +162,18 @@ def gmm_posterior(params: GmmParams, y: np.ndarray) -> np.ndarray:
     return _softmax_rows(gmm_log_joint(params, y[None, :], y)[0])[0][0]   # centred on y
 
 
+def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Statistic summed over ``rows`` with posteriors ``post``: ``sum_i r_i (x) (1, y_i)``."""
+    return np.concatenate([post.sum(axis=0), (post.T @ rows).reshape(-1)])
+
+
 def _gmm_pass(params: GmmParams, data: Dataset, indices, want_nll: bool,
               include_norm_const: bool = True):
     """One fused E-step pass: (statistic average over the rows, mean NLL)."""
     rows = data.values if indices is None else data.values[indices]
     a, r = gmm_log_joint(params, rows, data.mean)
     post, lse = _softmax_rows(a)
-    sbar = np.concatenate([post.sum(axis=0), (post.T @ rows).reshape(-1)]) / rows.shape[0]
+    sbar = _lift(post, rows) / rows.shape[0]
     if not want_nll:
         return sbar, float("nan")
     nll = (r - lse).mean()
@@ -186,12 +202,16 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
     weights = masses / masses.sum()
     means = moments / masses[:, None]
     cov = second_moment - (means * masses[:, None]).T @ means
+    # what GmmParams would check: a finite covariance implies finite means,
+    # and its Cholesky factor, if any, is lower triangular with a positive diagonal
+    if not np.isfinite(cov).all():
+        raise DomainError("implied covariance is not finite", violation="non-finite")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise DomainError("implied covariance is not positive definite",
                           violation="degenerate covariance") from None
-    return GmmParams(weights=weights, means=means, cov_chol=chol)
+    return GmmParams._trusted(weights, means, chol)
 
 
 def gmm_nll(params: GmmParams, data: Dataset, include_norm_const: bool = True) -> float:
@@ -266,6 +286,14 @@ class PooledGmm(Model):
         post = _softmax_rows(gmm_log_joint(params, rows, data.mean)[0])[0]
         weighted = post[:, :, None] * rows[:, None, :]
         return np.concatenate([post, weighted.reshape(rows.shape[0], -1)], axis=1)
+
+    def store_rows(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
+        """The ``(m, g)`` posteriors; a statistic row is ``r_i (x) (1, y_i)``."""
+        rows = data.values if indices is None else data.values[indices]
+        return _softmax_rows(gmm_log_joint(params, rows, data.mean)[0])[0]
+
+    def lift_sum(self, data: Dataset, indices, w: np.ndarray) -> np.ndarray:
+        return _lift(w, data.values if indices is None else data.values[indices])
 
     def batch_mean(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         return _gmm_pass(params, data, indices, want_nll=False)[0]

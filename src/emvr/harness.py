@@ -184,6 +184,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if algo in NESTED:
             if cfg.epochs is None and (cfg.k_in is None or cfg.k_out is None):
                 raise ConfigError(f"[run] {algo} needs k_in and k_out (or epochs)")
+            warm = cfg.warm_epochs if ESTIMATORS[algo].warm else 0
+            if cfg.epochs is not None and (cfg.epochs - warm) % 2:
+                raise ConfigError(f"[run] epochs - warm_epochs must be even for {algo}")
         else:
             if cfg.epochs is None and cfg.k_max is None:
                 raise ConfigError(f"[run] {algo} needs k_max (or epochs)")
@@ -279,8 +282,6 @@ def _derived_lengths(cfg: ExperimentConfig, algo: str, n: int):
     span = cfg.epochs - warm
     if algo not in NESTED:
         return span * per_epoch, None, None, warm
-    if span % 2:
-        raise ConfigError(f"[run] epochs - warm_epochs must be even for {algo}")
     return None, per_epoch + 1, span // 2, warm
 
 

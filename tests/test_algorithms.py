@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from emvr import (WITHOUT_REPLACEMENT, Dataset, MinibatchSampler,
-                  PerSampleStatStore, ScalarTwoGmm, ScalarTwoGmmParams,
+from emvr import (WITHOUT_REPLACEMENT, Dataset, MinibatchSampler, Model,
+                  OracleCounters, PerSampleStatStore, PooledGmm,
+                  ScalarTwoGmm, ScalarTwoGmmParams,
                   StepSchedule, full_stats, mean_field, minibatch_stats,
                   randomized_terminate, run_algorithm, run_em, run_fiem,
                   run_iem, run_online_em, run_sem_vr, run_spider_em,
                   run_spider_em_cv, run_spider_em_pl, theoretical_step_size)
-from emvr.algorithms import RunTrace
-from emvr.data import gen_scalar_mixture
+from emvr.algorithms import ESTIMATORS, RunTrace
+from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
+from emvr.gmm import init_random_responsibility
 from emvr.harness import expected_totals
 
 
@@ -251,6 +253,60 @@ class TestFiem:
                          MinibatchSampler(3, seed=4), StepSchedule.constant(0.1), 7)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "fiem", data.n, b=3, k_max=7)
+
+
+class RowStoreGmm(PooledGmm):
+    """The pooled mixture with the default store hooks: the full statistic
+    rows, summed plainly; the reference for the posterior store."""
+
+    store_rows = Model.store_rows
+    lift_sum = Model.lift_sum
+
+
+def pooled_case(n, g, p, seed=21):
+    data = gen_multivariate_mixture(n, g, p, 6.0, seed=seed)
+    return data, init_random_responsibility(PooledGmm.from_data(g, data), data, seed=seed + 1)
+
+
+class TestPosteriorStore:
+    @pytest.mark.parametrize("algo, gamma, warm", [("iem", 1.0, 0), ("fiem", 0.05, 1)])
+    def test_matches_row_store_reference(self, algo, gamma, warm):
+        data, s0 = pooled_case(300, 4, 3)
+        post, rows = (run_algorithm(
+            algo, cls.from_data(4, data), data, s0, MinibatchSampler(10, seed=3),
+            StepSchedule.constant(gamma), lambda *tags: np.random.SeedSequence([3, *tags]),
+            k_max=120, warm_epochs=warm, snapshot_mode="every-update")
+            for cls in (PooledGmm, RowStoreGmm))
+        assert post.status == rows.status == "completed"
+        assert (post.counters, post.monitor) == (rows.counters, rows.monitor)
+        assert len(post.snapshots) == len(rows.snapshots) == 32 * warm + 2 + 120
+        for (phase_a, t_a, k_a, a), (phase_b, t_b, k_b, b) in zip(post.snapshots,
+                                                                  rows.snapshots):
+            assert (phase_a, t_a, k_a) == (phase_b, t_b, k_b)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        for ra, rb in zip(post.records, rows.records):
+            assert ra.h_sq == pytest.approx(rb.h_sq, rel=1e-11)
+
+    def test_store_holds_posteriors(self):
+        data, s0 = pooled_case(300, 4, 3)
+        est = ESTIMATORS["iem"](PooledGmm.from_data(4, data), data, MinibatchSampler(10, seed=0))
+        est.counters = OracleCounters()
+        assert np.array_equal(est.refit(s0), full_stats(est.model, data, est.model.m_step(s0)))
+        assert est.store.rows.shape == (300, 4)
+
+    def test_running_mean_does_not_drift(self):
+        # the gmm-vr benchmark's shape over ten epochs of iEM updates
+        data, s0 = pooled_case(5000, 12, 20)
+        est = ESTIMATORS["iem"](PooledGmm.from_data(12, data), data,
+                                MinibatchSampler(100, seed=0))
+        est.counters = OracleCounters()
+        s = est.refit(s0)
+        worst = 0.0
+        for tau in range(1, 501):
+            s = s + est.direction(s)
+            if tau % 50 == 0:
+                worst = max(worst, np.abs(est.store.mean - est.store.exact_mean()).max())
+        assert worst <= 1e-12
 
 
 class TestSemVr:

@@ -150,6 +150,26 @@ class TestMStep:
         worse[3:5] *= 60.0
         assert gmm_model.domain_check(worse) == "degenerate covariance"
 
+    def test_trusted_construction_equals_validated(self):
+        data = gen_multivariate_mixture(400, 12, 20, 6.0, seed=4)
+        model = PooledGmm.from_data(12, data)
+        for seed in range(3):
+            params = model.m_step(init_random_responsibility(model, data, seed=seed))
+            checked = GmmParams(weights=params.weights, means=params.means,
+                                cov_chol=params.cov_chol)
+            for name in ("weights", "means", "cov_chol"):
+                fast, slow = getattr(params, name), getattr(checked, name)
+                assert fast.dtype == slow.dtype and fast.shape == slow.shape
+                assert fast.tobytes() == slow.tobytes()
+                assert fast.flags.c_contiguous and not fast.flags.writeable
+
+    def test_non_finite_statistics_rejected(self, gmm_model, gmm_data):
+        s = init_random_responsibility(gmm_model, gmm_data, seed=3).copy()
+        s[4] = np.nan
+        with pytest.raises(DomainError) as err:
+            gmm_model.m_step(s)
+        assert err.value.violation == "non-finite"
+
 
 def _data():
     return gen_multivariate_mixture(80, 3, 2, 3.0, seed=7)

@@ -442,3 +442,12 @@ class TestCli:
                          "--out", str(out), "--quiet"]) == 1
         assert "warm_epochs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_compare_rejects_odd_nested_span_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert cli_main(["compare", "--algos", "spider-em", "--epochs", "7",
+                         "--kswitch", "2", "--n", "200", "--components", "2",
+                         "--dim", "2", "--batch-size", "20", "--seeds", "2",
+                         "--out", str(out), "--quiet"]) == 1
+        assert "must be even for spider-em" in capsys.readouterr().err
+        assert not out.exists()
