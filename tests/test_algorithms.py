@@ -279,7 +279,8 @@ class TestPosteriorStore:
             for cls in (PooledGmm, RowStoreGmm))
         assert post.status == rows.status == "completed"
         assert (post.counters, post.monitor) == (rows.counters, rows.monitor)
-        assert len(post.snapshots) == len(rows.snapshots) == 32 * warm + 2 + 120
+        # each phase: a start and a refit snapshot, then one per update
+        assert len(post.snapshots) == len(rows.snapshots) == (2 + 30) * warm + 2 + 120
         for (phase_a, t_a, k_a, a), (phase_b, t_b, k_b, b) in zip(post.snapshots,
                                                                   rows.snapshots):
             assert (phase_a, t_a, k_a) == (phase_b, t_b, k_b)
