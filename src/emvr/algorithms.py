@@ -12,10 +12,17 @@ and can warm-start it: the driver then runs online EM for a number of
 data passes first, and the method continues in the same trace.
 
 Every run owns its statistic vector, sampler and counters; divergence
-(an inadmissible statistic or a non-finite entry) marks the trace instead
-of raising.  Checkpoint metrics (objective, squared mean-field norm) cost
-a full data pass and are charged to a separate monitor counter so the
-algorithmic accounting stays comparable across methods.
+(an inadmissible statistic or a non-finite entry) marks the trace, with
+its reason, instead of raising.  Checkpoint metrics (objective, squared
+mean-field norm) cost a full data pass and are charged to a separate
+monitor counter so the algorithmic accounting stays comparable across
+methods.
+
+A run keeps its last monitored pass, the M-step at an iterate and the full
+refit average there.  When the method next refits, or fits, at that same
+iterate, it reuses them: the pass is computed once and charged to both
+counters.  Counters are oracle charges, as if the method and the monitor
+each ran alone; the saving shows in wall time only.
 """
 
 from __future__ import annotations
@@ -129,6 +136,7 @@ class RunTrace:
     s_final: np.ndarray | None = None
     hit: tuple[int, int, int] | None = None      # (t, k, tau) of the first eps-crossing
     diverged_at: tuple[int, int, int] | None = None
+    diverged_reason: str | None = None           # the DomainError's violation tag
     xi: list[int] = field(default_factory=list)  # realized inner lengths (restart variant)
 
     def final_record(self) -> TraceRecord:
@@ -141,13 +149,32 @@ class RunTrace:
         return {(t, k): s for _, t, k, s in self.snapshots}
 
 
+class _LastPass:
+    """A run's last monitored pass: the M-step at an iterate and the full
+    refit average there, made read-only as plugin parameters already are.
+    Keyed by the iterate's bytes, so only a bitwise-equal iterate reuses
+    them."""
+
+    def __init__(self):
+        self.key = self.params = self.sbar = None
+
+    def put(self, s: np.ndarray, params, sbar: np.ndarray) -> None:
+        sbar.setflags(write=False)
+        self.key, self.params, self.sbar = s.tobytes(), params, sbar
+
+    def get(self, s: np.ndarray):
+        """``(params, sbar)`` if ``s`` is the stored iterate, else None."""
+        return (self.params, self.sbar) if s.tobytes() == self.key else None
+
+
 class _Recorder:
     """Checkpoint bookkeeping of one run, labelled by its current phase.
 
     ``metric_mode``: "epoch" records whenever the epoch counter crosses an
     integer, "update" records after every statistic update, "none" records
     only the initial and final states.  Metric evaluation charges the
-    monitor counters, never the algorithmic ones.
+    monitor counters, never the algorithmic ones, and leaves its pass in
+    ``last_pass`` for the run's estimators.
     """
 
     def __init__(self, model: Model, data: Dataset, trace: RunTrace, phase: str, *,
@@ -169,6 +196,7 @@ class _Recorder:
         self.phase, self._tau0, self._epoch0, self._skip = phase, 0, 0, False
         self._next_epoch = 1.0
         self._t0 = time.perf_counter()
+        self.last_pass = _LastPass()
 
     def resume(self, phase: str, tau0: int, epoch0: int) -> None:
         """Start ``phase``, which continues the last one on the same clock.
@@ -189,6 +217,7 @@ class _Recorder:
         sbar, w = self.model.checkpoint_stats(self.data, params,
                                               want_nll=self.compute_objective)
         mon.ce += self.data.n
+        self.last_pass.put(s, params, sbar)
         h_sq = float(((sbar - s) ** 2).sum())
         return w, h_sq
 
@@ -309,16 +338,22 @@ class _Estimator:
     def __init__(self, model: Model, data: Dataset, sampler: MinibatchSampler | None = None):
         self.model, self.data, self.sampler = model, data, sampler
         self.b = data.n if self.full_batch else sampler.batch_size
-        self.counters = None   # the run's counters, bound by the driver
+        # the run's counters and last monitored pass, bound by the driver
+        self.counters, self.last_pass = None, _LastPass()
 
     @classmethod
     def seeded(cls, model, data, sampler, seeds):
         """An instance whose extra random stream, if any, is seeded by ``seeds(tag)``."""
         return cls(model, data, sampler)
 
-    # the oracles, charged to the run and looked up at call time
+    # the oracles, charged to the run and looked up at call time; a call at
+    # the last monitored iterate reuses that pass and is charged all the same
     def _mstep(self, s):
-        return mstep(self.model, s, self.counters)
+        hit = self.last_pass.get(s)
+        if hit is None:
+            return mstep(self.model, s, self.counters)
+        self.counters.mstep += 1
+        return hit[0]
 
     def _mean(self, batch, params):
         return minibatch_stats(self.model, self.data, batch, params, self.counters)
@@ -330,8 +365,14 @@ class _Estimator:
     def refit(self, s: np.ndarray) -> np.ndarray:
         """Full pass at ``s``, which becomes the reference point; returns the
         refit average there."""
-        self.ref_params = self._mstep(s)
-        self.ref_stats = full_stats(self.model, self.data, self.ref_params, self.counters)
+        hit = self.last_pass.get(s)
+        if hit is None:
+            self.ref_params = mstep(self.model, s, self.counters)
+            self.ref_stats = full_stats(self.model, self.data, self.ref_params, self.counters)
+        else:
+            self.counters.mstep += 1
+            self.counters.ce += self.data.n
+            self.ref_params, self.ref_stats = hit
         return self.ref_stats
 
     def direction(self, s: np.ndarray) -> np.ndarray:
@@ -369,6 +410,7 @@ class _Store(_Estimator):
     name, unit_step = "iem", True
 
     def refit(self, s):
+        # the store needs per-sample rows, so a monitored pass lends only its M-step
         rows = self.model.store_rows(self.data, None, self._mstep(s)).copy()
         self.counters.ce += self.data.n
         self.store = PerSampleStatStore(rows, partial(self.model.lift_sum, self.data))
@@ -532,7 +574,7 @@ def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=No
     restarting.  tau counts updates, damped refreshes included; positions
     are (outer t, inner k, tau)."""
     trace = rec.trace
-    est.counters = trace.counters
+    est.counters, est.last_pass = trace.counters, rec.last_pass
     n, pos, tau, selections = est.data.n, (1, 0, 0), 0, 0
     try:
         rec.snapshot(1, -1, s)
@@ -572,8 +614,9 @@ def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=No
             selections += n
             rec.snapshot(t + 1, 0, s)
             rec.checkpoint(t + 1, 0, tau, selections / n, s, force=(t == k_out))
-    except DomainError:
+    except DomainError as exc:
         trace.status, trace.diverged_at = STATUS_DIVERGED, pos
+        trace.diverged_reason = exc.violation
     except _Stop as stop:
         trace.status = stop.status
     trace.s_final = s.copy()

@@ -125,6 +125,10 @@ class Model(ABC):
       deterministic pure function and raise :class:`DomainError` outside
       its domain.
     * ``penalized_nll`` — the objective F at a parameter value.
+    * ``checkpoint_stats`` — one monitoring pass, ``(statistic average,
+      objective)``.  The statistic must equal ``batch_mean(data, None,
+      params)`` bitwise, with or without ``want_nll``: a run reuses a
+      monitored pass as the refit at the same iterate.
     * ``domain_check`` — ``None`` if the M-step is defined at ``s``,
       otherwise the violation tag of the :class:`DomainError` it raises.
 
@@ -179,8 +183,9 @@ class Model(ABC):
     def checkpoint_stats(self, data: Dataset, params, want_nll: bool = True):
         """One monitoring pass: (full statistic average, objective).
 
-        Functionally ``(batch_mean over all rows, penalized_nll)``; plugins
-        may fuse the two passes.  Costs n conditional expectations.
+        ``(batch_mean over all rows, penalized_nll)``, the statistic bitwise
+        so; plugins may fuse the two passes.  Costs n conditional
+        expectations.
         """
         sbar = self.batch_mean(data, None, params)
         nll = self.penalized_nll(data, params) if want_nll else float("nan")

@@ -1,7 +1,8 @@
 """Experiment runner: configs, trace files, complexity estimation, summaries.
 
 A run is fully determined by a config file and a seed; the manifest records
-a hash of the canonical config so outputs are attributable.  Trace CSVs use
+a hash of the canonical config so outputs are attributable, and each
+trace's status, with the reason of a divergence.  Trace CSVs use
 a fixed column schema (epoch, t, k, tau, W, h_sq_norm, ce_count,
 mstep_count, wall_ms, status); wall_ms is the only column allowed to vary
 between repetitions.
@@ -368,12 +369,14 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
             results.append(res)
             if progress:
                 progress(res)
-    statuses = {}
+    statuses, reasons = {}, {}
     summary_rows = ["algorithm,seed,status,final_epoch,final_W,final_h_sq_norm,"
                     "ce_count,mstep_count"]
     for algo, seed, trace in results:
         trace_to_csv(trace, out / f"trace_{algo}_{seed}.csv")
         statuses[(algo, seed)] = trace.status
+        if trace.diverged_reason is not None:
+            reasons[(algo, seed)] = f" ({trace.diverged_reason})"
         last = trace.final_record()
         summary_rows.append(f"{algo},{seed},{trace.status},{repr(float(last.epoch))},"
                             f"{repr(float(last.objective))},{repr(float(last.h_sq))},"
@@ -386,7 +389,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
                 f"config hash = {config_hash(cfg)}",
                 f"seed offset = {seed_offset()}",
                 f"divergence rate = {rate}"]
-    manifest += [f"trace_{a}_{s}.csv = {st}" for (a, s), st in sorted(statuses.items())]
+    manifest += [f"trace_{a}_{s}.csv = {st}{reasons.get((a, s), '')}"
+                 for (a, s), st in sorted(statuses.items())]
     manifest.append("")
     manifest.append("[config]")
     manifest.append(canonical_config(cfg))

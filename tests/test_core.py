@@ -30,6 +30,23 @@ class TestDataset:
         assert np.array_equal(data.row(1), [2.0, 3.0])
 
 
+class TestCheckpointContract:
+    @pytest.mark.parametrize("case", ["pooled", "scalar", "default"])
+    def test_statistic_is_the_full_batch_mean_bitwise(self, case, gmm_model, gmm_data,
+                                                      gmm_start, scalar_model,
+                                                      scalar_data):
+        model, data, params = {
+            "pooled": (gmm_model, gmm_data, gmm_model.m_step(gmm_start)),
+            "scalar": (scalar_model, scalar_data,
+                       ScalarTwoGmmParams(mu=np.array([1.3, -0.7]))),
+            "default": (LocationToy(1), scalar_data, np.array([0.25])),
+        }[case]
+        full = model.batch_mean(data, None, params)
+        for want_nll in (True, False):
+            sbar, _ = model.checkpoint_stats(data, params, want_nll=want_nll)
+            assert sbar.dtype == full.dtype and sbar.tobytes() == full.tobytes()
+
+
 class TestBatchStats:
     def test_full_batch_equals_full_stats_bitwise(self, scalar_model, scalar_data):
         params = ScalarTwoGmmParams(mu=np.array([1.0, -1.0]))

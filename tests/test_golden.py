@@ -16,6 +16,7 @@ size that does not divide n, a warm phase that diverges and a callback
 across both phases of a warm start; an epsilon hit in update mode for nested
 methods; and divergences inside a
 flat run, inside an inner loop, at a damped outer refresh and at a restart.
+A divergence's reason is checked beside the hashes, which leave it out.
 """
 
 import hashlib
@@ -29,7 +30,7 @@ from emvr import (MinibatchSampler, ScalarTwoGmm, ScalarTwoGmmParams,
                   run_spider_em_cv, run_spider_em_pl)
 from emvr.data import gen_scalar_mixture
 from emvr.harness import (ExperimentConfig, build_dataset, build_model,
-                          initial_stats, run_single)
+                          initial_stats, run_experiment, run_single)
 
 EVERY = dict(snapshot_mode="every-update")
 UPDATE = dict(snapshot_mode="every-update", metric_mode="update",
@@ -233,6 +234,21 @@ def test_cases_reach_their_outcomes(monkeypatch):
     phases = [entry[0] for entry in warm.callback_log]
     assert phases == sorted(phases, key=lambda p: p != "warmup")
     assert {"warmup", "spider-em"} == set(phases)
+
+
+def test_divergence_reasons(tmp_path, monkeypatch):
+    # the trace keeps the violation tag and the manifest appends it to the status
+    monkeypatch.delenv("EM_SEED_OFFSET", raising=False)
+    refresh = run_case("sem-vr-diverged-refresh")
+    assert (refresh.status, refresh.diverged_reason) == ("diverged", "empty component")
+    cfg = ExperimentConfig(n=30, batch_size=2, epochs=6, warm_epochs=2, gamma=25.0,
+                           metric="none", snapshot="every-update",
+                           algorithms=("spider-em",), seeds=(3,), out_dir=str(tmp_path))
+    trace = run_experiment(cfg)["traces"][("spider-em", 3)]
+    assert digest(trace) == GOLDEN["warm-diverged"]
+    assert trace.diverged_reason == "empty component"
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert "trace_spider-em_3.csv = diverged (empty component)" in manifest
 
 
 if __name__ == "__main__":
