@@ -7,7 +7,8 @@ the checkpoint recorder, divergence handling and the outer/inner control
 of the nested methods.  Each method is a small estimator class, registered
 by name in :data:`ESTIMATORS`, that declares what the driver and the
 harness need to know of it.  The eight ``run_*`` functions are thin
-wrappers around the driver.  :func:`run_algorithm` runs a method by name
+wrappers around the driver; their recording keywords (``**record``) go
+to its recorder unchanged.  :func:`run_algorithm` runs a method by name
 and can warm-start it: the driver then runs online EM for a number of
 data passes first, and the method continues in the same trace.
 
@@ -40,6 +41,9 @@ STATUS_COMPLETED = "completed"
 STATUS_HIT = "hit-eps"
 STATUS_STOPPED = "stopped"
 STATUS_DIVERGED = "diverged"
+
+METRIC_MODES = ("epoch", "update", "none")
+SNAPSHOT_MODES = ("none", "checkpoint", "every-update")
 
 
 class StepSchedule:
@@ -170,20 +174,21 @@ class _LastPass:
 class _Recorder:
     """Checkpoint bookkeeping of one run, labelled by its current phase.
 
-    ``metric_mode``: "epoch" records whenever the epoch counter crosses an
-    integer, "update" records after every statistic update, "none" records
-    only the initial and final states.  Metric evaluation charges the
-    monitor counters, never the algorithmic ones, and leaves its pass in
-    ``last_pass`` for the run's estimators.
+    It alone names the recording keywords every run takes, and their
+    defaults.  ``metric_mode``: "epoch" records whenever the epoch counter
+    crosses an integer, "update" records after every statistic update,
+    "none" records only the initial and final states.  Metric evaluation
+    charges the monitor counters, never the algorithmic ones, and leaves
+    its pass in ``last_pass`` for the run's estimators.
     """
 
     def __init__(self, model: Model, data: Dataset, trace: RunTrace, phase: str, *,
                  metric_mode: str = "epoch", compute_objective: bool = True,
                  epsilon: float | None = None, snapshot_mode: str = "none",
                  callback=None):
-        if metric_mode not in ("epoch", "update", "none"):
+        if metric_mode not in METRIC_MODES:
             raise ValueError(f"unknown metric_mode {metric_mode!r}")
-        if snapshot_mode not in ("none", "checkpoint", "every-update"):
+        if snapshot_mode not in SNAPSHOT_MODES:
             raise ValueError(f"unknown snapshot_mode {snapshot_mode!r}")
         self.model = model
         self.data = data
@@ -198,7 +203,7 @@ class _Recorder:
         self._t0 = time.perf_counter()
         self.last_pass = _LastPass()
 
-    def resume(self, phase: str, tau0: int, epoch0: int) -> None:
+    def resume(self, phase: str, tau0: int, epoch0: float) -> None:
         """Start ``phase``, which continues the last one on the same clock.
 
         Its records carry tau and epoch offset by ``tau0`` and ``epoch0``, and
@@ -530,9 +535,15 @@ class _Stop(Exception):
         self.status = status
 
 
-def _run(est: _Estimator, s_init, schedule, *, k_max=None, k_in=None, k_out=None,
-         outer_gamma=None, warm_epochs=0, **record) -> RunTrace:
-    """The one driver; returns the run's trace.  A warm phase of online EM
+def updates_per_epoch(n: int, b: int) -> int:
+    """Updates of ``b`` selections each that make one data pass of ``n`` rows."""
+    return max(1, round(n / b))
+
+
+def _run(est: _Estimator, s_init, schedule, record: dict, *, k_max=None, k_in=None,
+         k_out=None, outer_gamma=None, warm_epochs=0) -> RunTrace:
+    """The one driver; returns the run's trace.  ``record`` holds the
+    recording keywords of :class:`_Recorder`.  A warm phase of online EM
     on the method's sampler shares the trace, recorder, clock and counters
     with the method's phase, which starts from its last iterate."""
     if est.refresh is None:
@@ -543,21 +554,20 @@ def _run(est: _Estimator, s_init, schedule, *, k_max=None, k_in=None, k_out=None
             raise ValueError("k_in must be at least 2")
     if warm_epochs < 0:
         raise ValueError("warm_epochs must be >= 0")
+    warm = _Online(est.model, est.data, est.sampler) if warm_epochs else None
+    first = warm or est
+    trace = RunTrace(first.name, est.data.n, batch_size=None if first.full_batch else first.b)
+    # the recorder checks the recording keywords before the model is first called
+    rec = _Recorder(est.model, est.data, trace, "warmup" if warm else est.name, **record)
     s = _check_start(est.model, s_init)
-    if warm_epochs:
-        warm = _Online(est.model, est.data, est.sampler)
-        iters = warm_epochs * max(1, round(est.data.n / warm.b))
-        trace = RunTrace(warm.name, est.data.n, batch_size=warm.b, k_max=iters)
-        rec = _Recorder(est.model, est.data, trace, "warmup", **record)
+    if warm:
+        trace.k_max = iters = warm_epochs * updates_per_epoch(est.data.n, warm.b)
         _phase(warm, rec, s, schedule, k_max=iters)
         if trace.status != STATUS_COMPLETED:
             return trace
         s = trace.s_final
         trace.algorithm = f"warmup+{est.name}"
-        rec.resume(est.name, iters, warm_epochs)
-    else:
-        trace = RunTrace(est.name, est.data.n, batch_size=None if est.full_batch else est.b)
-        rec = _Recorder(est.model, est.data, trace, est.name, **record)
+        rec.resume(est.name, iters, iters * warm.b / est.data.n)
     trace.k_in, trace.k_out, trace.k_max = k_in, k_out, k_max
     _phase(est, rec, s, schedule, k_max=k_max, k_in=k_in, k_out=k_out,
            outer_gamma=outer_gamma)
@@ -572,7 +582,8 @@ def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=No
     An initial refit, then outer loops of inner updates ``s <- s + gamma_tau
     * direction``, each nested loop closed by a full refresh, damped or
     restarting.  tau counts updates, damped refreshes included; positions
-    are (outer t, inner k, tau)."""
+    are (outer t, inner k, tau).  A divergence is reported at the position
+    of the last iterate, ``s_final``, whichever step or pass finds it."""
     trace = rec.trace
     est.counters, est.last_pass = trace.counters, rec.last_pass
     n, pos, tau, selections = est.data.n, (1, 0, 0), 0, 0
@@ -586,13 +597,9 @@ def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=No
         for t, length in enumerate(est.inner_lengths(k_max, k_in, k_out, trace.xi), 1):
             for k in range(1, length + 1):
                 tau += 1
-                # a failing E- or M-step is charged to the update it was
-                # computing in a flat method, to the last update in a nested one
-                if est.refresh is None:
-                    pos = (t, k, tau)
                 d = est.direction(s)
-                pos = (t, k, tau)
                 s = s + schedule(tau) * d if est.relaxes else d
+                pos = (t, k, tau)
                 _check_finite(s)
                 selections += est.b
                 rec.snapshot(t, k, s)
@@ -603,11 +610,11 @@ def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=No
             if est.refresh == "damped":
                 rec.snapshot(t + 1, -1, s)
                 tau += 1
-            pos = (t + 1, 0, tau)
             s_full = est.refit(s)
             if est.refresh == "damped":
                 gamma = schedule(tau) if outer_gamma is None else float(outer_gamma)
                 s = s + gamma * (s_full - s)
+                pos = (t + 1, 0, tau)
                 _check_finite(s)
             else:   # a restart: the next outer loop starts at the last iterate
                 rec.snapshot(t + 1, -1, s)
@@ -630,83 +637,62 @@ def run_algorithm(name: str, model: Model, data: Dataset, s_init, sampler: Minib
     A flat method uses ``k_max``, a nested one ``k_in`` and ``k_out`` (and a
     damped one ``outer_gamma``).  ``seeds(tag)`` returns the seed sequence of
     an extra random stream, for a method that needs one; ``record`` takes
-    the recording keywords of the ``run_*`` routines.
+    the recording keywords of every ``run_*`` routine.  A divergence is
+    reported at the position of the trace's ``s_final``.
 
-    ``warm_epochs`` data passes of online EM on ``sampler`` (phase
-    ``warmup``, same schedule) come first.  The method's records follow in
-    the trace, renamed ``warmup+<name>``, with tau and epoch offset by the
-    warm updates and epochs; a warm phase that does not complete ends the
-    run as ``online-em``."""
+    ``warm_epochs * updates_per_epoch(n, b)`` updates of online EM on
+    ``sampler`` (phase ``warmup``, same schedule) come first.  The method's
+    records follow in the trace, renamed ``warmup+<name>``, with tau offset
+    by the warm updates and epoch by the data passes they made, ``updates *
+    b / n``; a warm phase that does not complete ends the run as
+    ``online-em``."""
     est = ESTIMATORS[name].seeded(model, data, sampler, seeds)
-    return _run(est, s_init, schedule, k_max=k_max, k_in=k_in, k_out=k_out,
-                outer_gamma=outer_gamma, warm_epochs=warm_epochs, **record)
+    return _run(est, s_init, schedule, record, k_max=k_max, k_in=k_in, k_out=k_out,
+                outer_gamma=outer_gamma, warm_epochs=warm_epochs)
 
 
-def _record(metric_mode, compute_objective, epsilon, snapshot_mode, callback) -> dict:
-    return dict(metric_mode=metric_mode, compute_objective=compute_objective,
-                epsilon=epsilon, snapshot_mode=snapshot_mode, callback=callback)
-
-
-def run_em(model: Model, data: Dataset, s_init, k_max: int, *,
-           metric_mode: str = "epoch", compute_objective: bool = True,
-           epsilon: float | None = None, snapshot_mode: str = "none",
-           callback=None) -> RunTrace:
+def run_em(model: Model, data: Dataset, s_init, k_max: int, **record) -> RunTrace:
     """Full-batch EM: each update replaces the statistics by their exact
     refit average.  Costs n conditional expectations and one M-step per
     update (plus the same once for the initial refit)."""
-    return _run(_FullRefit(model, data), s_init, None, k_max=k_max, **_record(
-        metric_mode, compute_objective, epsilon, snapshot_mode, callback))
+    return _run(_FullRefit(model, data), s_init, None, record, k_max=k_max)
 
 
 def run_online_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                  schedule: StepSchedule, k_max: int, *,
-                  metric_mode: str = "epoch", compute_objective: bool = True,
-                  epsilon: float | None = None, snapshot_mode: str = "none",
-                  callback=None) -> RunTrace:
+                  schedule: StepSchedule, k_max: int, **record) -> RunTrace:
     """Stochastic-approximation EM: relax the statistics toward a minibatch
     refit average with step gamma_k.  One minibatch E-step and one M-step
     per update, after an initial full refit."""
-    return _run(_Online(model, data, sampler), s_init, schedule, k_max=k_max, **_record(
-        metric_mode, compute_objective, epsilon, snapshot_mode, callback))
+    return _run(_Online(model, data, sampler), s_init, schedule, record, k_max=k_max)
 
 
 def run_iem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-            schedule: StepSchedule | None = None, k_max: int = 0, *,
-            metric_mode: str = "epoch", compute_objective: bool = True,
-            epsilon: float | None = None, snapshot_mode: str = "none",
-            callback=None) -> RunTrace:
+            schedule: StepSchedule | None = None, k_max: int = 0, **record) -> RunTrace:
     """Incremental EM: refresh the stored per-sample statistics on each
     batch and track their mean.  Default step size is 1 (the statistics
     equal the store mean).  Memory is n rows of the model's ``store_rows``
     width (g posteriors for a mixture), capped at 2 GiB."""
     if schedule is None:
         schedule = StepSchedule.constant(1.0)
-    return _run(_Store(model, data, sampler), s_init, schedule,
-                k_max=k_max, **_record(metric_mode, compute_objective, epsilon,
-                                       snapshot_mode, callback))
+    return _run(_Store(model, data, sampler), s_init, schedule, record, k_max=k_max)
 
 
 def run_fiem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-             sampler_extra: MinibatchSampler, schedule: StepSchedule, k_max: int, *,
-             metric_mode: str = "epoch", compute_objective: bool = True,
-             epsilon: float | None = None, snapshot_mode: str = "none",
-             callback=None) -> RunTrace:
+             sampler_extra: MinibatchSampler, schedule: StepSchedule, k_max: int,
+             **record) -> RunTrace:
     """Incremental EM with a store-based control variate.
 
     Each update refreshes the store on one batch, then steps along a second,
     independent batch direction corrected by ``store mean - store batch
     mean``, which keeps the step unbiased for the exact mean field.
     Costs 2b conditional expectations and one M-step per update."""
-    return _run(_StoreCv(model, data, sampler, sampler_extra), s_init,
-                schedule, k_max=k_max, **_record(metric_mode, compute_objective, epsilon,
-                                                 snapshot_mode, callback))
+    return _run(_StoreCv(model, data, sampler, sampler_extra), s_init, schedule, record,
+                k_max=k_max)
 
 
 def run_sem_vr(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
                schedule: StepSchedule, k_out: int, k_in: int, *,
-               outer_gamma: float | None = None, metric_mode: str = "epoch",
-               compute_objective: bool = True, epsilon: float | None = None,
-               snapshot_mode: str = "none", callback=None) -> RunTrace:
+               outer_gamma: float | None = None, **record) -> RunTrace:
     """Nested-loop EM with an anchor control variate.
 
     Each outer loop refits the full statistics at the current anchor, then
@@ -715,16 +701,13 @@ def run_sem_vr(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
     construction); the outer refresh itself is a damped update.  Inner
     updates cost 2b conditional expectations and one M-step; the refresh
     costs n and one."""
-    return _run(_Anchor(model, data, sampler), s_init, schedule, k_in=k_in, k_out=k_out,
-                outer_gamma=outer_gamma, **_record(metric_mode, compute_objective,
-                                                   epsilon, snapshot_mode, callback))
+    return _run(_Anchor(model, data, sampler), s_init, schedule, record, k_in=k_in,
+                k_out=k_out, outer_gamma=outer_gamma)
 
 
 def run_spider_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
                   schedule: StepSchedule, k_out: int, k_in: int, *,
-                  outer_gamma: float | None = None, metric_mode: str = "epoch",
-                  compute_objective: bool = True, epsilon: float | None = None,
-                  snapshot_mode: str = "none", callback=None) -> RunTrace:
+                  outer_gamma: float | None = None, **record) -> RunTrace:
     """Nested-loop EM with a path-integrated difference estimator.
 
     The running estimate of the full refit average is advanced by the
@@ -732,39 +715,30 @@ def run_spider_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler
     and reset by a full pass at every outer refresh.  Inner updates cost
     2b conditional expectations and one M-step; the refresh costs n and
     one, followed by a damped update."""
-    return _run(_PathIntegrated(model, data, sampler), s_init, schedule, k_in=k_in,
-                k_out=k_out, outer_gamma=outer_gamma, **_record(
-                    metric_mode, compute_objective, epsilon, snapshot_mode,
-                    callback))
+    return _run(_PathIntegrated(model, data, sampler), s_init, schedule, record,
+                k_in=k_in, k_out=k_out, outer_gamma=outer_gamma)
 
 
 def run_spider_em_cv(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
                      schedule: StepSchedule, k_out: int, k_in: int, *,
-                     outer_gamma: float | None = None, metric_mode: str = "epoch",
-                     compute_objective: bool = True, epsilon: float | None = None,
-                     snapshot_mode: str = "none", callback=None) -> RunTrace:
+                     outer_gamma: float | None = None, **record) -> RunTrace:
     """The same sequence as :func:`run_spider_em`, written as an online
     update plus an explicit control variate accumulated across the inner
     loop and reset to zero at each outer refresh.  Identical batch streams
     give elementwise-identical trajectories up to float associativity."""
-    return _run(_ExplicitCv(model, data, sampler), s_init, schedule, k_in=k_in,
-                k_out=k_out, outer_gamma=outer_gamma, **_record(
-                    metric_mode, compute_objective, epsilon, snapshot_mode,
-                    callback))
+    return _run(_ExplicitCv(model, data, sampler), s_init, schedule, record,
+                k_in=k_in, k_out=k_out, outer_gamma=outer_gamma)
 
 
 def run_spider_em_pl(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                     schedule: StepSchedule, k_out: int, k_in: int, rng, *,
-                     metric_mode: str = "epoch", compute_objective: bool = True,
-                     epsilon: float | None = None, snapshot_mode: str = "none",
-                     callback=None) -> RunTrace:
+                     schedule: StepSchedule, k_out: int, k_in: int, rng,
+                     **record) -> RunTrace:
     """Restart variant: each outer loop runs a uniformly random number of
     inner difference-estimator steps (1 to k_in - 1), then restarts from
     the last iterate with a fresh full refit and no damped outer step.
     ``rng`` drives only the inner-length draws."""
-    return _run(_Restart(model, data, sampler, rng), s_init, schedule, k_in=k_in,
-                k_out=k_out, **_record(metric_mode, compute_objective, epsilon,
-                                       snapshot_mode, callback))
+    return _run(_Restart(model, data, sampler, rng), s_init, schedule, record,
+                k_in=k_in, k_out=k_out)
 
 
 def randomized_terminate(trace: RunTrace, rng) -> tuple[int, int, np.ndarray]:

@@ -310,9 +310,6 @@ class PooledGmm(Model):
     def natural_param(self, params: GmmParams) -> np.ndarray:
         return gmm_phi(params)
 
-    def log_partition(self, params: GmmParams) -> float:
-        return gmm_log_partition(params, self.second_moment)
-
     def checkpoint_stats(self, data: Dataset, params: GmmParams,
                          want_nll: bool = True):
         return _gmm_pass(params, data, None, want_nll, self.include_norm_const)
@@ -331,12 +328,10 @@ class ScalarTwoGmm(Model):
     """Scalar two-component mixture; weights and the common variance are known.
 
     Defaults follow the synthetic benchmark: weights (0.2, 0.8), unit
-    variance.  ``second_moment`` (mean of y^2) is only needed by
-    :meth:`log_partition`.
+    variance.
     """
 
     def __init__(self, weights=(0.2, 0.8), variance: float = 1.0,
-                 second_moment: float | None = None,
                  include_norm_const: bool = True):
         w1, w2 = float(weights[0]), float(weights[1])
         if w1 <= 0 or w2 <= 0 or abs(w1 + w2 - 1.0) > 1e-12:
@@ -345,7 +340,6 @@ class ScalarTwoGmm(Model):
             raise ValueError("variance must be positive")
         self.weights = (w1, w2)
         self.variance = float(variance)
-        self.second_moment = second_moment
         self.include_norm_const = include_norm_const
 
     @classmethod
@@ -354,7 +348,6 @@ class ScalarTwoGmm(Model):
         if data.dim != 1:
             raise ValueError("scalar mixture expects 1-d observations")
         return cls(weights=weights, variance=variance,
-                   second_moment=float(data.second_moment[0, 0]),
                    include_norm_const=include_norm_const)
 
     @property
@@ -423,12 +416,6 @@ class ScalarTwoGmm(Model):
         return np.array([np.log(self.weights[0]) - mu[0] ** 2 / (2 * v),
                          np.log(self.weights[1]) - mu[1] ** 2 / (2 * v),
                          mu[0] / v, mu[1] / v])
-
-    def log_partition(self, params: ScalarTwoGmmParams) -> float:
-        if self.second_moment is None:
-            raise ValueError("log_partition needs the data second moment; build via from_data")
-        return float(0.5 * _LOG_2PI + 0.5 * np.log(self.variance)
-                     + self.second_moment / (2.0 * self.variance))
 
 
 def scalar2_m_step(s: np.ndarray) -> ScalarTwoGmmParams:

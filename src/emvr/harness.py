@@ -14,13 +14,15 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .algorithms import ESTIMATORS, RunTrace, StepSchedule, run_algorithm
+from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
+                         StepSchedule, run_algorithm, updates_per_epoch)
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    MinibatchSampler)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
@@ -169,14 +171,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[data] unknown kind {cfg.data_kind!r}")
     if cfg.data_kind == "file" and not cfg.data_path:
         raise ConfigError("[data] kind=file requires a path")
-    if cfg.sampling not in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
-        raise ConfigError(f"[run] sampling must be {WITH_REPLACEMENT} or "
-                          f"{WITHOUT_REPLACEMENT}, got {cfg.sampling!r}")
-    if cfg.metric not in ("epoch", "update", "none"):
-        raise ConfigError(f"[run] metric must be epoch, update or none, got {cfg.metric!r}")
-    if cfg.snapshot not in ("none", "checkpoint", "every-update"):
-        raise ConfigError("[run] snapshot must be none, checkpoint or every-update, "
-                          f"got {cfg.snapshot!r}")
+    for key, allowed in (("sampling", (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
+                         ("metric", METRIC_MODES), ("snapshot", SNAPSHOT_MODES)):
+        value = getattr(cfg, key)
+        if value not in allowed:
+            raise ConfigError(f"[run] {key} must be {', '.join(allowed[:-1])} or "
+                              f"{allowed[-1]}, got {value!r}")
     if not cfg.algorithms:
         raise ConfigError("[run] algorithms must not be empty")
     for algo in cfg.algorithms:
@@ -271,7 +271,7 @@ def _estimator(algo: str):
 
 
 def _updates_per_epoch(algo: str, n: int, b: int | None) -> int:
-    return max(1, round(n / (n if _estimator(algo).full_batch else b or n)))
+    return updates_per_epoch(n, n if _estimator(algo).full_batch else b or n)
 
 
 def _derived_lengths(cfg: ExperimentConfig, algo: str, n: int):
@@ -357,15 +357,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
     results = []
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for res in pool.map(_run_one_job, jobs):
-                results.append(res)
-                if progress:
-                    progress(res)
-    else:
-        for job in jobs:
-            res = _run_one_job(job)
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    with pool or nullcontext():
+        for res in (pool.map if pool else map)(_run_one_job, jobs):
             results.append(res)
             if progress:
                 progress(res)
@@ -413,9 +407,7 @@ def expected_totals(algorithm: str, n: int, b: int | None = None,
     k_in - 1 inner updates at 2b each and one refresh at n.  The restart
     variant replaces k_in - 1 by its realized inner lengths ``xi``.
     """
-    if algorithm not in ESTIMATORS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    est = ESTIMATORS[algorithm]
+    est = _estimator(algorithm)
     update_ce = est.passes * (n if est.full_batch else b)
     if est.refresh is None:
         return n + update_ce * k_max, 1 + k_max
@@ -477,10 +469,9 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
     for n in n_grid:
         b = cfg.batch_size if cfg.batch_size is not None else paper_batch_size(n)
         k_in = cfg.k_in if cfg.k_in is not None else math.ceil(n / b)
-        if algo in NESTED:
-            k_out, k_max = max(1, math.ceil(max_epochs / 2)), None
-        else:
-            k_out, k_max = None, max_epochs * _updates_per_epoch(algo, n, b)
+        # the driver reads k_max for a flat method and k_out for a nested one
+        k_out = max(1, math.ceil(max_epochs / 2))
+        k_max = max_epochs * _updates_per_epoch(algo, n, b)
         sub = replace(cfg, n=n, batch_size=b, k_in=k_in, k_out=k_out, k_max=k_max,
                       epochs=None, epsilon=epsilon, metric="update", snapshot="none",
                       warm_epochs=0, algorithms=(algo,))

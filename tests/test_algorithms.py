@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -567,6 +568,18 @@ class TestHybridWarmStart:
         assert trace.counters.ce == warm_ce + main_ce
         assert trace.counters.mstep == (1 + 16) + main_m
 
+    def test_epochs_count_selections_across_the_handoff(self):
+        # b = 4 does not divide n = 30: two warm epochs are 16 batches, 2.133 passes
+        model, data, s0 = overlapping_scalar()
+        trace = run_algorithm("fiem", model, data, s0, MinibatchSampler(4, seed=9),
+                              StepSchedule.constant(0.2),
+                              lambda *tags: np.random.SeedSequence([9, *tags]),
+                              k_max=24, warm_epochs=2, metric_mode="epoch")
+        assert trace.status == "completed"
+        assert {r.phase for r in trace.records} == {"warmup", "fiem"}
+        for r in trace.records:
+            assert abs(r.epoch * data.n - r.tau * 4) <= 1e-12
+
 
 class TestRandomizedTermination:
     def test_degenerate_trace_returns_start(self):
@@ -630,6 +643,52 @@ class TestRandomizedTermination:
                               StepSchedule.constant(0.2), 2, 3, metric_mode="none")
         with pytest.raises(NotImplementedError):
             randomized_terminate(trace, np.random.default_rng(0))
+
+
+class OracleGuard(ScalarTwoGmm):
+    """The scalar mixture with every oracle call an error."""
+
+    def _called(self, *args, **kwargs):
+        raise AssertionError("oracle called")
+
+    m_step = batch_mean = sbar_rows = store_rows = checkpoint_stats = _called
+
+
+def every_run(model, data, s0):
+    """Each public entry point once, as a function of its recording keywords."""
+    smp, gamma = MinibatchSampler(4, seed=1), StepSchedule.constant(0.2)
+    return [
+        partial(run_em, model, data, s0, 3),
+        partial(run_online_em, model, data, s0, smp, gamma, 3),
+        partial(run_iem, model, data, s0, smp, None, 3),
+        partial(run_fiem, model, data, s0, smp, MinibatchSampler(4, seed=2), gamma, 3),
+        partial(run_sem_vr, model, data, s0, smp, gamma, 2, 3),
+        partial(run_spider_em, model, data, s0, smp, gamma, 2, 3),
+        partial(run_spider_em_cv, model, data, s0, smp, gamma, 2, 3),
+        partial(run_spider_em_pl, model, data, s0, smp, gamma, 2, 3,
+                np.random.default_rng(0)),
+        partial(run_algorithm, "spider-em", model, data, s0, smp, gamma, None, k_in=3,
+                k_out=2, warm_epochs=1),
+    ]
+
+
+class TestRecordingKeywords:
+    @pytest.mark.parametrize("record, error", [
+        (dict(bogus=1), TypeError),
+        (dict(metric_mode="bogus"), ValueError),
+        (dict(snapshot_mode="bogus"), ValueError),
+    ])
+    def test_rejected_before_any_oracle_call(self, record, error):
+        _, data, s0 = overlapping_scalar()
+        for run in every_run(OracleGuard(), data, s0):
+            with pytest.raises(error):
+                run(**record)
+
+    def test_method_arguments_are_not_recording_keywords(self):
+        _, data, s0 = overlapping_scalar()
+        for extra in (dict(warm_epochs=1), dict(k_in=3), dict(outer_gamma=0.5)):
+            with pytest.raises(TypeError):
+                run_em(OracleGuard(), data, s0, 3, **extra)
 
 
 class TestDeterminismAndDivergence:

@@ -6,8 +6,8 @@ counters, its status, hit, divergence position, inner lengths and final
 statistics.  Any change to an optimizer's arithmetic, call order or
 bookkeeping changes a hash, so a refactor of the update loop must leave all
 of them as they are.  A change that alters a trajectory on purpose
-regenerates them (run this file as a script to print the current values)
-and says so in CHANGES.md.
+regenerates them and says so in CHANGES.md: run this file as a script to
+print each moved case as ``name: old -> new``, then the current values.
 
 The cases cover all eight algorithms; the corrected methods at a step
 near 1, where the float order of a direction reaches the iterate;
@@ -149,7 +149,7 @@ GOLDEN = {
     'fiem-large-step': 'b9d8563fd04413f880393405681875f27f59b2a1e5359b116189dbcf57516c39',
     'iem': '8cb8a95911b157e22b4df11456d1cd8e71f61277df80fc6c15aece721574a019',
     'online-em': 'd80cf20b9792d90d963a7bb05e32b63ae0258c80e0d795f2d026ed862289e715',
-    'online-em-diverged': '2209439a32661c9fa5879cf428720b9c3f71d1d0f3dac545fb7d82c68a7958f9',
+    'online-em-diverged': '318484483c2793d43422c6187fa86c3113ac6b07b8b7d66d7de61e71cc7ab113',
     'online-em-inverse-sqrt': '1ac7b561e38c9a8d2c7ec3dfde69c4bd745d39de59b6d062a315f58a619fa5cc',
     'sem-vr': '166d61ee4f364999fb11ec3a1762a538316c896d2dcee0a0b0eb3ef7cddf382d',
     'sem-vr-diverged-refresh': '6544279aaff7975ddc529c3a6ded72bcfc1329f190fc51eea2b144e8e539f58f',
@@ -165,14 +165,14 @@ GOLDEN = {
     'spider-em-large-step': 'd6e1c3b661973f4fe2f46a7982816738721045e9efd680491354b38bfd4851e7',
     'spider-em-pl': 'c45adb1edac0b067687b272eb87193a61df6a6487200546644d9f62d6e1cada1',
     'spider-em-pl-diverged': '921e8abe5f418f97b00f29ff18e00cb86fce85636b951155cfd472b244d33ef6',
-    'spider-em-pl-diverged-restart': '05066f5905322ccd473f7bf8d0d292dcdab47f94d548398c564f708040044949',
+    'spider-em-pl-diverged-restart': '760f6d56233aa7e8608da202af0ae61fae28a714b3528a0975b2e8c10a37bd56',
     'spider-em-pl-hit': '17d7aa713e07f70dfea1bdf35f4d7b08f02d8489353b8713d29654aaabb9add0',
-    'warm-callback': 'cd7a42b12956bdd73f78857bd85736a62dddce213fff7f5c9ebb799c88507747',
-    'warm-diverged': '83af08e775dcfec2cfc737ea98e8fbc2c7e3f0aa7fb0d99fb98b2f09edff1af9',
-    'warm-fiem': '73f1afe5ded7add6bcfb642da53496f01c68338412423684ea486d509e056a25',
-    'warm-sem-vr': 'ee8ca2f994272a7bc61009178ee659d62af8679525fdaab09cd3b50795af2e05',
-    'warm-spider-em': 'a6628c79adc58703694cfe5b93d9a7abe9527eeabf7ed98ae7ff69af0a7a233d',
-    'warm-spider-em-pl': 'ccebbba9f88d3e2393fa6445618afc2861aa4efe4c70306ed1b3e3b056326426',
+    'warm-callback': '1535720017dce1000119f805cb37a9fa9562fe68fce3578501a879ce05712a30',
+    'warm-diverged': 'c1f1a3f4f65fb788b512a1d72644665f02dd98bc15792c1e0e87ebe6373091ab',
+    'warm-fiem': '702681e9954f0a0edc4c0f5674715921581beb7344b3c232d3b06415903aafe9',
+    'warm-sem-vr': '1f15d3bd0e07e444bba85ae3effea0ad08a06e16a1dced985b025196d4dd662e',
+    'warm-spider-em': '19ae8643dfafe1fd683936bb5d2c1b20ba499245988d7060787e55d41440df73',
+    'warm-spider-em-pl': 'e3645f4db7cb1877f3c6277d1d103945267fae733174c5b37831b5b4e4dd5212',
 }
 
 
@@ -218,9 +218,13 @@ def test_cases_reach_their_outcomes(monkeypatch):
     for name in ("online-em-diverged", "spider-em-diverged-inner",
                  "spider-em-pl-diverged"):
         assert tr[name].status == "diverged" and tr[name].diverged_at[1] > 0
-    for name in ("sem-vr-diverged-refresh", "sem-vr-diverged-refresh-quiet",
-                 "spider-em-pl-diverged-restart"):
+    for name in ("sem-vr-diverged-refresh", "sem-vr-diverged-refresh-quiet"):
         assert tr[name].status == "diverged" and tr[name].diverged_at[1] == 0
+    # the restart refit at the end of an outer loop fails; the position is
+    # that loop's last inner update, whose iterate the restart kept
+    restart = tr["spider-em-pl-diverged-restart"]
+    assert restart.status == "diverged"
+    assert restart.diverged_at[:2] == (len(restart.xi), restart.xi[-1])
     for name in ("warm-fiem", "warm-sem-vr", "warm-spider-em", "warm-spider-em-pl"):
         assert tr[name].algorithm.startswith("warmup+")
         assert tr[name].status == "completed"
@@ -234,6 +238,19 @@ def test_cases_reach_their_outcomes(monkeypatch):
     phases = [entry[0] for entry in warm.callback_log]
     assert phases == sorted(phases, key=lambda p: p != "warmup")
     assert {"warmup", "spider-em"} == set(phases)
+
+
+def test_divergence_is_reported_at_the_last_iterate(monkeypatch):
+    # the position of s_final, whichever step or pass finds the divergence
+    monkeypatch.delenv("EM_SEED_OFFSET", raising=False)
+    checked = 0
+    for name in CASES:
+        trace = run_case(name)
+        if trace.status == "diverged" and np.isfinite(trace.s_final).all():
+            snap = trace.snapshot_map()[trace.diverged_at[:2]]
+            assert snap.tobytes() == trace.s_final.tobytes(), name
+            checked += 1
+    assert checked >= 5
 
 
 def test_divergence_reasons(tmp_path, monkeypatch):
@@ -252,5 +269,9 @@ def test_divergence_reasons(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    for name in sorted(CASES):
-        print(f"    {name!r}: {digest(run_case(name))!r},")
+    current = {name: digest(run_case(name)) for name in sorted(CASES)}
+    for name, value in current.items():
+        if value != GOLDEN.get(name):
+            print(f"{name}: {GOLDEN.get(name)} -> {value}")
+    for name, value in current.items():
+        print(f"    {name!r}: {value!r},")
