@@ -327,7 +327,7 @@ class _Estimator:
 
     The class attributes are what the driver and the harness know of a
     method: an update costs ``passes`` batch E-steps of b rows (n rows for
-    a ``full_batch`` method); ``sorts`` says whether batches are sorted; a
+    a ``full_batch`` method, the only kind that needs no sampler); a
     method that ``relaxes`` steps ``s + gamma * direction``, one that does
     not takes the direction as its next iterate; ``refresh`` is None for a
     flat method and "damped" or "restart" for a nested one; the harness
@@ -337,10 +337,12 @@ class _Estimator:
     name = ""
     passes = 1
     full_batch = warm = unit_step = False
-    sorts = relaxes = True
+    relaxes = True
     refresh = None
 
     def __init__(self, model: Model, data: Dataset, sampler: MinibatchSampler | None = None):
+        if sampler is None and not self.full_batch:
+            raise ValueError(f"{self.name} needs a minibatch sampler, got None")
         self.model, self.data, self.sampler = model, data, sampler
         self.b = data.n if self.full_batch else sampler.batch_size
         # the run's counters and last monitored pass, bound by the driver
@@ -364,8 +366,7 @@ class _Estimator:
         return minibatch_stats(self.model, self.data, batch, params, self.counters)
 
     def batch(self) -> np.ndarray:
-        idx = self.sampler.sample(self.data.n)
-        return np.sort(idx) if self.sorts else idx
+        return np.sort(self.sampler.sample(self.data.n))
 
     def refit(self, s: np.ndarray) -> np.ndarray:
         """Full pass at ``s``, which becomes the reference point; returns the
@@ -402,7 +403,7 @@ class _FullRefit(_Estimator):
 class _Online(_Estimator):
     """Online EM: the refit average over a batch."""
 
-    name, sorts = "online-em", False
+    name = "online-em"
 
     def direction(self, s):
         return self._mean(self.batch(), self._mstep(s)) - s
@@ -446,7 +447,8 @@ class _StoreCv(_Store):
 
     @classmethod
     def seeded(cls, model, data, sampler, seeds):
-        return cls(model, data, sampler, MinibatchSampler(
+        # without a sampler, __init__ raises before any seed is drawn
+        return cls(model, data, sampler, None if sampler is None else MinibatchSampler(
             sampler.batch_size, seeds(_EXTRA_STREAM_TAG), mode=sampler.mode))
 
     def direction(self, s):

@@ -111,16 +111,16 @@ class Model(ABC):
     * ``sbar_rows`` — per-sample conditional expectations at the given
       parameters, one row per requested index (``indices=None`` means the
       whole dataset, in order, without copying rows).
-    * ``batch_mean`` — their average over ``indices``, the E-step of every
-      batch average and full pass.  Default: ``sbar_rows(...).sum(0) / m``;
-      plugins fuse it so no (m, q) row matrix is built.  A full sorted
-      batch must agree bitwise with ``indices=None``.
-    * ``store_rows`` and ``lift_sum`` — what the iEM/FIEM stores keep per
-      sample, and the linear map from those compact rows back to the
-      statistic summed over them.  ``lift_sum(data, indices, w)`` must equal
-      ``sbar_rows(...)[...].sum(0)`` when ``w`` holds the compact rows of
-      ``indices`` (all rows if ``None``).  Defaults: the statistic rows
-      themselves and ``w.sum(axis=0)``; a mixture stores its posteriors.
+    * ``store_rows`` and ``lift_sum`` — compact per-sample rows, and the
+      linear map from the compact rows of ``indices`` (all rows if
+      ``None``) back to the statistic summed over them.  Defaults: the
+      statistic rows themselves and ``w.sum(axis=0)``; a mixture keeps its
+      posteriors.  The iEM/FIEM stores keep these rows.
+    * ``batch_mean`` — the average over ``indices``, the E-step of every
+      batch average and full pass.  Default: ``lift_sum(data, indices,
+      store_rows(data, indices, params)) / m``; plugins fuse it so no
+      (m, q) row matrix is built.  A full sorted batch must agree bitwise
+      with ``indices=None``.
     * ``m_step`` — the fitted parameters for a statistic vector; must be a
       deterministic pure function and raise :class:`DomainError` outside
       its domain.
@@ -162,7 +162,7 @@ class Model(ABC):
     def batch_mean(self, data: Dataset, indices, params) -> np.ndarray:
         """Average conditional expectation over ``indices`` (all rows if ``None``)."""
         m = data.n if indices is None else len(indices)
-        return self.sbar_rows(data, indices, params).sum(axis=0) / m
+        return self.lift_sum(data, indices, self.store_rows(data, indices, params)) / m
 
     def store_rows(self, data: Dataset, indices, params) -> np.ndarray:
         """Compact per-sample rows for the iEM/FIEM stores (default: ``sbar_rows``)."""
@@ -171,10 +171,6 @@ class Model(ABC):
     def lift_sum(self, data: Dataset, indices, w: np.ndarray) -> np.ndarray:
         """Statistic summed over the rows ``indices`` whose compact rows are ``w``."""
         return w.sum(axis=0)
-
-    def sbar_i(self, data: Dataset, i: int, params) -> np.ndarray:
-        """Conditional expectation of the statistics for sample ``i``."""
-        return self.sbar_rows(data, np.array([i], dtype=np.intp), params)[0]
 
     def natural_param(self, params) -> np.ndarray:
         """Natural-parameter vector of the fitted model, when the plugin exposes it."""

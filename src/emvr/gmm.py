@@ -11,12 +11,12 @@ Two concrete models:
   and a known common variance; only the two means are fitted.  Its
   statistic vector is ``(mass_1, mass_2, wsum_1, wsum_2)``.
 
-Numerics: pooled posteriors go through the log domain with max-subtraction;
-the pooled covariance is carried as its Cholesky factor so positive-
-definiteness is enforced structurally, and quadratic forms are expanded
-after centring on the data mean (see :func:`gmm_log_joint`).  The scalar
-posterior is one in-place logistic of the log-odds; softplus is computed
-only for the likelihood.
+Numerics: every pooled statistic, store row and likelihood comes from one
+E-step pass in the log domain with max-subtraction, its quadratic forms
+expanded after centring on the data mean (see :func:`gmm_log_joint`); the
+pooled covariance has one formula and is kept as its Cholesky factor, so
+it is positive definite by construction.  The scalar posterior is one
+in-place logistic of the log-odds; softplus only enters the likelihood.
 """
 
 from __future__ import annotations
@@ -167,17 +167,19 @@ def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([post.sum(axis=0), (post.T @ rows).reshape(-1)])
 
 
-def _gmm_pass(params: GmmParams, data: Dataset, indices, want_nll: bool,
-              include_norm_const: bool = True):
-    """One fused E-step pass: (statistic average over the rows, mean NLL)."""
+def _gmm_pass(params: GmmParams, data: Dataset, indices):
+    """The one pooled E-step over the rows ``indices`` (all rows if ``None``):
+    ``(rows, post, lse, r)``, the rows gathered once, their posteriors, and
+    ``lse - r``, each row's log-likelihood split as in :func:`gmm_log_joint`."""
     rows = data.values if indices is None else data.values[indices]
     a, r = gmm_log_joint(params, rows, data.mean)
     post, lse = _softmax_rows(a)
-    sbar = _lift(post, rows) / rows.shape[0]
-    if not want_nll:
-        return sbar, float("nan")
-    nll = (r - lse).mean()
-    return sbar, float(nll if include_norm_const else nll - 0.5 * params.dim * _LOG_2PI)
+    return rows, post, lse, r
+
+
+def _pooled_cov(second_moment: np.ndarray, w: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Pooled covariance ``second_moment - sum_l w_l mu_l mu_l^T``."""
+    return second_moment - (means * w[:, None]).T @ means
 
 
 def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
@@ -201,7 +203,7 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
                           violation="empty component")
     weights = masses / masses.sum()
     means = moments / masses[:, None]
-    cov = second_moment - (means * masses[:, None]).T @ means
+    cov = _pooled_cov(second_moment, masses, means)
     # what GmmParams would check: a finite covariance implies finite means,
     # and its Cholesky factor, if any, is lower triangular with a positive diagonal
     if not np.isfinite(cov).all():
@@ -212,15 +214,6 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
         raise DomainError("implied covariance is not positive definite",
                           violation="degenerate covariance") from None
     return GmmParams._trusted(weights, means, chol)
-
-
-def gmm_nll(params: GmmParams, data: Dataset, include_norm_const: bool = True) -> float:
-    """Mean negative log-likelihood of the mixture on ``data``.
-
-    ``include_norm_const=False`` drops the additive ``(p/2) log(2 pi)``
-    term, the reduced reporting convention some experiment logs use.
-    """
-    return _gmm_pass(params, data, None, True, include_norm_const)[1]
 
 
 def gmm_phi(params: GmmParams) -> np.ndarray:
@@ -282,37 +275,39 @@ class PooledGmm(Model):
         return self.g * (1 + self.p)
 
     def sbar_rows(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
-        rows = data.values if indices is None else data.values[indices]
-        post = _softmax_rows(gmm_log_joint(params, rows, data.mean)[0])[0]
+        rows, post = _gmm_pass(params, data, indices)[:2]
         weighted = post[:, :, None] * rows[:, None, :]
         return np.concatenate([post, weighted.reshape(rows.shape[0], -1)], axis=1)
 
     def store_rows(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         """The ``(m, g)`` posteriors; a statistic row is ``r_i (x) (1, y_i)``."""
-        rows = data.values if indices is None else data.values[indices]
-        return _softmax_rows(gmm_log_joint(params, rows, data.mean)[0])[0]
+        return _gmm_pass(params, data, indices)[1]
 
     def lift_sum(self, data: Dataset, indices, w: np.ndarray) -> np.ndarray:
         return _lift(w, data.values if indices is None else data.values[indices])
 
     def batch_mean(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
-        return _gmm_pass(params, data, indices, want_nll=False)[0]
+        rows, post = _gmm_pass(params, data, indices)[:2]
+        return _lift(post, rows) / rows.shape[0]
 
     def m_step(self, s: np.ndarray) -> GmmParams:
         return gmm_m_step(s, self.second_moment)
 
-    def penalized_nll(self, data: Dataset, params: GmmParams,
-                      include_norm_const: bool | None = None) -> float:
-        if include_norm_const is None:
-            include_norm_const = self.include_norm_const
-        return gmm_nll(params, data, include_norm_const=include_norm_const)
+    def penalized_nll(self, data: Dataset, params: GmmParams) -> float:
+        return self.checkpoint_stats(data, params)[1]
 
     def natural_param(self, params: GmmParams) -> np.ndarray:
         return gmm_phi(params)
 
     def checkpoint_stats(self, data: Dataset, params: GmmParams,
                          want_nll: bool = True):
-        return _gmm_pass(params, data, None, want_nll, self.include_norm_const)
+        rows, post, lse, r = _gmm_pass(params, data, None)
+        sbar = _lift(post, rows) / data.n
+        if not want_nll:
+            return sbar, float("nan")
+        nll = (r - lse).mean()
+        return sbar, float(nll if self.include_norm_const
+                           else nll - 0.5 * params.dim * _LOG_2PI)
 
 
 def _logistic(d: np.ndarray) -> np.ndarray:
@@ -366,8 +361,7 @@ class ScalarTwoGmm(Model):
         d += np.log(w1) - np.log(w2)
         return d
 
-    def _pass(self, data: Dataset, indices, params: ScalarTwoGmmParams, want_nll: bool,
-              include_norm_const: bool = True):
+    def _pass(self, data: Dataset, indices, params: ScalarTwoGmmParams, want_nll: bool):
         """One fused E-step pass: (statistic average over the rows, mean NLL).
 
         Two reductions of ``p1`` give the statistics; the likelihood uses
@@ -384,7 +378,7 @@ class ScalarTwoGmm(Model):
         v = self.variance
         l1 = np.log(self.weights[0]) - (y - params.mu[0]) ** 2 / (2.0 * v)
         nll = -(l1 + sp).mean() + 0.5 * np.log(v)
-        if include_norm_const:
+        if self.include_norm_const:
             nll += 0.5 * _LOG_2PI
         return sbar, float(nll)
 
@@ -399,16 +393,13 @@ class ScalarTwoGmm(Model):
 
     def checkpoint_stats(self, data: Dataset, params: ScalarTwoGmmParams,
                          want_nll: bool = True):
-        return self._pass(data, None, params, want_nll, self.include_norm_const)
+        return self._pass(data, None, params, want_nll)
 
     def m_step(self, s: np.ndarray) -> ScalarTwoGmmParams:
         return scalar2_m_step(s)
 
-    def penalized_nll(self, data: Dataset, params: ScalarTwoGmmParams,
-                      include_norm_const: bool | None = None) -> float:
-        if include_norm_const is None:
-            include_norm_const = self.include_norm_const
-        return self._pass(data, None, params, True, include_norm_const)[1]
+    def penalized_nll(self, data: Dataset, params: ScalarTwoGmmParams) -> float:
+        return self._pass(data, None, params, True)[1]
 
     def natural_param(self, params: ScalarTwoGmmParams) -> np.ndarray:
         v = self.variance
@@ -481,7 +472,7 @@ def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.n
     counts = np.bincount(assign, minlength=g).astype(np.float64)
     counts = np.maximum(counts, 1.0)
     weights = counts / counts.sum()
-    cov = data.second_moment - (centers * weights[:, None]).T @ centers
+    cov = _pooled_cov(data.second_moment, weights, centers)
     cov = (cov + cov.T) / 2
     # guard hard-assignment degeneracies with a small ridge
     try:
@@ -489,11 +480,6 @@ def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.n
     except np.linalg.LinAlgError:
         chol = np.linalg.cholesky(cov + 1e-6 * np.eye(model.p))
     params = GmmParams(weights=weights, means=centers, cov_chol=chol)
-    return full_stats(model, data, params)
-
-
-def stats_from_params(model: Model, data: Dataset, params) -> np.ndarray:
-    """Bridge a parameter initializer to statistics: one full E-step pass."""
     return full_stats(model, data, params)
 
 

@@ -24,10 +24,10 @@ from . import __version__
 from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
                          StepSchedule, run_algorithm, updates_per_epoch)
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
-                   MinibatchSampler)
+                   MinibatchSampler, full_stats)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
 from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
-                  init_kmeans, init_random_responsibility, stats_from_params)
+                  init_kmeans, init_random_responsibility)
 
 ALGORITHMS = tuple(ESTIMATORS)
 NESTED = tuple(name for name, est in ESTIMATORS.items() if est.refresh)
@@ -260,7 +260,7 @@ def initial_stats(cfg: ExperimentConfig, model, data: Dataset) -> np.ndarray:
         else:
             y = data.values[:, 0]
             mu = np.array([y.mean() + y.std(), y.mean() - y.std()])
-        return stats_from_params(model, data, ScalarTwoGmmParams(mu=mu))
+        return full_stats(model, data, ScalarTwoGmmParams(mu=mu))
     raise ConfigError(f"[init] unknown kind {cfg.init_kind!r}")
 
 

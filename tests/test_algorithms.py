@@ -691,6 +691,26 @@ class TestRecordingKeywords:
                 run_em(OracleGuard(), data, s0, 3, **extra)
 
 
+class TestMissingSampler:
+    def test_rejected_before_any_oracle_call(self):
+        _, data, s0 = overlapping_scalar()
+        model, gamma = OracleGuard(), StepSchedule.constant(0.2)
+        runs = [  # (method that needs the sampler, call without one)
+            ("online-em", partial(run_algorithm, "em", model, data, s0, None, None, None,
+                                  k_max=3, warm_epochs=1)),
+            ("online-em", partial(run_algorithm, "online-em", model, data, s0, None, gamma,
+                                  None, k_max=3)),
+            ("fiem", partial(run_algorithm, "fiem", model, data, s0, None, gamma, None,
+                             k_max=3)),
+            ("spider-em", partial(run_algorithm, "spider-em", model, data, s0, None, gamma,
+                                  None, k_in=3, k_out=2)),
+            ("online-em", partial(run_online_em, model, data, s0, None, gamma, 3)),
+        ]
+        for name, run in runs:
+            with pytest.raises(ValueError, match=f"^{name} needs a minibatch sampler"):
+                run()
+
+
 class TestDeterminismAndDivergence:
     def test_identical_seeds_identical_traces(self):
         model, data, s0 = overlapping_scalar()

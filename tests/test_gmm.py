@@ -11,8 +11,7 @@ from emvr import (Dataset, DomainError, GmmParams, PooledGmm, ScalarTwoGmm,
 from emvr import gmm
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.gmm import (_logistic, gmm_log_partition, gmm_m_step, gmm_phi,
-                      gmm_posterior, init_kmeans, init_random_responsibility,
-                      stats_from_params)
+                      gmm_posterior, init_kmeans, init_random_responsibility)
 
 
 def random_params(g, p, seed):
@@ -57,7 +56,7 @@ class TestPosterior:
 class TestSbar:
     def test_blocks(self, gmm_model, gmm_data):
         params = random_params(3, 2, 0)
-        row = gmm_model.sbar_i(gmm_data, 4, params)
+        row = gmm_model.sbar_rows(gmm_data, np.array([4]), params)[0]
         masses, moments = row[:3], row[3:].reshape(3, 2)
         assert abs(masses.sum() - 1.0) <= 1e-14
         assert np.abs(moments.sum(axis=0) - gmm_data.row(4)).max() <= 1e-12
@@ -77,7 +76,8 @@ class TestSbar:
             stat[z] = 1.0
             stat[2 + 2 * z: 4 + 2 * z] = y
             expected += post[z] * stat
-        assert np.abs(model.sbar_i(gmm_data, 7, params) - expected).max() <= 1e-12
+        row = model.sbar_rows(gmm_data, np.array([7]), params)[0]
+        assert np.abs(row - expected).max() <= 1e-12
 
     def test_full_stats_affine_structure(self, gmm_model, gmm_data):
         params = random_params(3, 2, 9)
@@ -258,13 +258,6 @@ class TestNll:
         one = PooledGmm.from_data(1, gmm_data).penalized_nll(gmm_data, single)
         two = model2.penalized_nll(gmm_data, double)
         assert two == pytest.approx(one, abs=1e-12)
-
-    def test_norm_const_flag(self, gmm_data):
-        model = PooledGmm.from_data(3, gmm_data)
-        params = random_params(3, 2, 29)
-        delta = (model.penalized_nll(gmm_data, params)
-                 - model.penalized_nll(gmm_data, params, include_norm_const=False))
-        assert delta == pytest.approx(gmm_data.dim / 2 * np.log(2 * np.pi), abs=1e-14)
 
     @pytest.mark.parametrize("scale", [1e8, 1e-8])
     def test_log_domain_stability_under_scaling(self, scale):
@@ -507,11 +500,6 @@ class TestInitializers:
         for a, b in zip(seen, want_assign):
             assert np.array_equal(a, b)
         assert np.array_equal(got, want)
-
-    def test_param_bridge_is_full_stats(self, gmm_model, gmm_data):
-        params = random_params(3, 2, 37)
-        assert np.array_equal(stats_from_params(gmm_model, gmm_data, params),
-                              full_stats(gmm_model, gmm_data, params))
 
 
 class TestSerialization:
