@@ -443,6 +443,8 @@ class _StoreCv(_Store):
 
     def __init__(self, model, data, sampler, sampler_extra: MinibatchSampler):
         super().__init__(model, data, sampler)
+        if sampler_extra is None:
+            raise ValueError(f"{self.name} needs a second minibatch sampler, got None")
         self.sampler_extra = sampler_extra
 
     @classmethod

@@ -89,6 +89,15 @@ class Dataset:
         mu.setflags(write=False)
         return mu
 
+    @cached_property
+    def centred_moment(self) -> np.ndarray:
+        """``(1/n) sum_i (y_i - mean)(y_i - mean)^T`` from centred rows, on first use."""
+        xc = self.values - self.mean
+        c = xc.T @ xc / self.n
+        c = (c + c.T) / 2.0
+        c.setflags(write=False)
+        return c
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -133,10 +142,11 @@ class Model(ABC):
       otherwise the violation tag of the :class:`DomainError` it raises.
 
     Kernels that expand a quadratic ``|y - mu|^2`` must centre rows and
-    means on ``data.mean`` first: uncentred, the expanded terms grow with
-    the data's offset and cancel.  They are written for one BLAS thread
-    per process (``OPENBLAS_NUM_THREADS=1``): their BLAS calls are small,
-    and waking more threads costs more than it saves.
+    means on ``data.mean`` first (a row quadratic's mean is a trace with
+    ``data.centred_moment``): uncentred, the expanded terms grow with the
+    data's offset and cancel.  They are written for one BLAS thread per
+    process (``OPENBLAS_NUM_THREADS=1``): their BLAS calls are small, and
+    waking more threads costs more than it saves.
     """
 
     @property

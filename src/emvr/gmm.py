@@ -12,11 +12,12 @@ Two concrete models:
   statistic vector is ``(mass_1, mass_2, wsum_1, wsum_2)``.
 
 Numerics: every pooled statistic, store row and likelihood comes from one
-E-step pass in the log domain with max-subtraction, its quadratic forms
-expanded after centring on the data mean (see :func:`gmm_log_joint`); the
-pooled covariance has one formula and is kept as its Cholesky factor, so
-it is positive definite by construction.  The scalar posterior is one
-in-place logistic of the log-odds; softplus only enters the likelihood.
+component-major E-step pass (:func:`_gmm_pass`), a softmax with max-subtraction
+over ``(g, m)`` logits centred on the data mean; the rows' quadratic enters the
+likelihood as ``tr(Sigma^{-1} C) / 2``, with C the data's centred moment.  The
+pooled covariance has one formula and is kept as its Cholesky factor, so it is
+positive definite by construction.  The scalar posterior is one in-place
+logistic of the log-odds; softplus only enters the likelihood.
 """
 
 from __future__ import annotations
@@ -123,58 +124,45 @@ def _chol_inv(params: GmmParams) -> np.ndarray:
     return li
 
 
-def gmm_log_joint(params: GmmParams, rows: np.ndarray, center: np.ndarray):
-    """Log-joint of each row and component, split as ``(a, r)``.
-
-    ``log(alpha_l N(mu_l, Sigma)[y_i]) = a[i, l] - r[i]`` with rows and means
-    whitened after centring, ``z = L^{-1}(x - center)``:
-    ``a = z_y z_mu^T - |z_mu|^2 / 2 + log alpha + log norm`` and ``r = |z_y|^2 / 2``.
-    Centring keeps the expanded terms of the order of the spread, not the offset.
-    """
-    li_t = _chol_inv(params).T
-    zy = (rows - center) @ li_t
-    zmu = (params.means - center) @ li_t
-    log_norm = -0.5 * params.dim * _LOG_2PI - np.log(np.diag(params.cov_chol)).sum()
-    with np.errstate(divide="ignore"):
-        bias = np.log(params.weights) + log_norm - 0.5 * np.einsum("gp,gp->g", zmu, zmu)
-    a = zy @ zmu.T
-    a += bias
-    return a, 0.5 * np.einsum("mp,mp->m", zy, zy)
-
-
-def _softmax_rows(a: np.ndarray):
-    """Row-normalized ``exp(a)`` (in place of ``a``) and each row's log-sum-exp."""
-    mx = a.max(axis=1)
-    a -= mx[:, None]
-    np.exp(a, out=a)
-    denom = a.sum(axis=1)
-    a /= denom[:, None]
-    return a, np.log(denom) + mx
+def _logit_terms(params: GmmParams, center: np.ndarray):
+    """``(B, bias)``: ``log(alpha_l N(mu_l, Sigma)[y]) = (B (y - center) + bias)_l - r(y)``,
+    ``B = (Sigma^{-1}(mu - center)^T)^T``, ``r(y) = |L^{-1}(y - center)|^2 / 2``; cached
+    per instance for the one centre array they were made with, checked by identity."""
+    cached = params.__dict__.get("_logit_terms")
+    if cached is None or cached[0] is not center:
+        li = _chol_inv(params)
+        zmu = (params.means - center) @ li.T
+        log_norm = -0.5 * params.dim * _LOG_2PI - np.log(np.diag(params.cov_chol)).sum()
+        with np.errstate(divide="ignore"):
+            bias = np.log(params.weights) + log_norm - 0.5 * np.einsum("gp,gp->g", zmu, zmu)
+        cached = (center, zmu @ li, bias)
+        object.__setattr__(params, "_logit_terms", cached)
+    return cached[1:]
 
 
 def gmm_posterior(params: GmmParams, y: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities for one observation.
-
-    Entries are nonnegative and sum to one; computed in the log domain
-    with max-subtraction.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return _softmax_rows(gmm_log_joint(params, y[None, :], y)[0])[0][0]   # centred on y
+    """Posterior component probabilities for one observation, from the one pass."""
+    return _gmm_pass(params, Dataset(np.atleast_2d(y)), None)[1][:, 0]   # centred on y
 
 
 def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Statistic summed over ``rows`` with posteriors ``post``: ``sum_i r_i (x) (1, y_i)``."""
-    return np.concatenate([post.sum(axis=0), (post.T @ rows).reshape(-1)])
+    """``sum_i r_i (x) (1, y_i)`` over ``rows`` with ``(g, m)`` posteriors ``post``."""
+    return np.concatenate([post.sum(axis=1), (post @ rows).reshape(-1)])
 
 
-def _gmm_pass(params: GmmParams, data: Dataset, indices):
+def _gmm_pass(params: GmmParams, data: Dataset, indices, want_lse: bool = False):
     """The one pooled E-step over the rows ``indices`` (all rows if ``None``):
-    ``(rows, post, lse, r)``, the rows gathered once, their posteriors, and
-    ``lse - r``, each row's log-likelihood split as in :func:`gmm_log_joint`."""
+    ``(rows, post, lse)``, the rows gathered once, their ``(g, m)`` posteriors and,
+    if wanted, each row's log-sum-exp of the logits, its log-likelihood plus r."""
     rows = data.values if indices is None else data.values[indices]
-    a, r = gmm_log_joint(params, rows, data.mean)
-    post, lse = _softmax_rows(a)
-    return rows, post, lse, r
+    B, bias = _logit_terms(params, data.mean)
+    a = B @ (rows - data.mean).T
+    a += bias[:, None]
+    mx = a.max(axis=0)
+    np.exp(np.subtract(a, mx, out=a), out=a)
+    denom = a.sum(axis=0)
+    a /= denom
+    return rows, a, np.log(denom) + mx if want_lse else None
 
 
 def _pooled_cov(second_moment: np.ndarray, w: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -276,15 +264,17 @@ class PooledGmm(Model):
 
     def sbar_rows(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         rows, post = _gmm_pass(params, data, indices)[:2]
-        weighted = post[:, :, None] * rows[:, None, :]
-        return np.concatenate([post, weighted.reshape(rows.shape[0], -1)], axis=1)
+        weighted = post.T[:, :, None] * rows[:, None, :]
+        return np.concatenate([post.T, weighted.reshape(rows.shape[0], -1)], axis=1)
 
     def store_rows(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         """The ``(m, g)`` posteriors; a statistic row is ``r_i (x) (1, y_i)``."""
-        return _gmm_pass(params, data, indices)[1]
+        return _gmm_pass(params, data, indices)[1].T
 
     def lift_sum(self, data: Dataset, indices, w: np.ndarray) -> np.ndarray:
-        return _lift(w, data.values if indices is None else data.values[indices])
+        # the pass's (g, m) layout, so a full store lifts bitwise as full_stats
+        return _lift(np.ascontiguousarray(w.T),
+                     data.values if indices is None else data.values[indices])
 
     def batch_mean(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         rows, post = _gmm_pass(params, data, indices)[:2]
@@ -301,11 +291,11 @@ class PooledGmm(Model):
 
     def checkpoint_stats(self, data: Dataset, params: GmmParams,
                          want_nll: bool = True):
-        rows, post, lse, r = _gmm_pass(params, data, None)
+        rows, post, lse = _gmm_pass(params, data, None, want_lse=want_nll)
         sbar = _lift(post, rows) / data.n
         if not want_nll:
             return sbar, float("nan")
-        nll = (r - lse).mean()
+        nll = 0.5 * np.sum(params.precision() * data.centred_moment) - lse.mean()  # mean r(y)
         return sbar, float(nll if self.include_norm_const
                            else nll - 0.5 * params.dim * _LOG_2PI)
 

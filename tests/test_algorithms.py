@@ -709,6 +709,8 @@ class TestMissingSampler:
         for name, run in runs:
             with pytest.raises(ValueError, match=f"^{name} needs a minibatch sampler"):
                 run()
+        with pytest.raises(ValueError, match="^fiem needs a second minibatch sampler, got None"):
+            run_fiem(model, data, s0, MinibatchSampler(4, 1), None, gamma, 3)
 
 
 class TestDeterminismAndDivergence:

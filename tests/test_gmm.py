@@ -581,3 +581,37 @@ class TestBatchMean:
             assert np.abs(got - rows.mean(axis=0)).max() <= 1e-13
             sbar, _ = model.checkpoint_stats(data, params)
             assert np.abs(sbar - model.sbar_rows(data, None, params).mean(axis=0)).max() <= 1e-13
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), g=st.integers(1, 6), p=st.integers(1, 5),
+           offset=st.floats(-1e8, 1e8), seed=st.integers(0, 2**32 - 1))
+    def test_pass_properties_at_any_offset(self, n, g, p, offset, seed):
+        rng = np.random.default_rng(seed)
+        data = Dataset(offset + 2.0 * rng.standard_normal((n, p)))
+        model = PooledGmm.from_data(g, data)
+        a = rng.standard_normal((p, p))
+        params = GmmParams(weights=rng.dirichlet(np.ones(g)),
+                           means=offset + 2.0 * rng.standard_normal((g, p)),
+                           cov_chol=np.linalg.cholesky(a @ a.T + np.eye(p)))
+        idx = np.sort(rng.integers(0, n, size=rng.integers(1, 2 * n + 1)))   # duplicates
+        sbar, nll = model.checkpoint_stats(data, params)
+        for got, rows in ((sbar, data.values),
+                          (model.batch_mean(data, idx, params), data.values[idx])):
+            masses, moments, ref_nll = _direct_difference_pass(params, rows)
+            assert np.abs(got[:g] - masses).max() <= 1e-9
+            assert np.abs(got[g:] - moments.reshape(-1)).max() <= 1e-9 * np.abs(moments).max()
+        assert nll == pytest.approx(_direct_difference_pass(params, data.values)[2], abs=1e-9)
+        # the centred second moment is a centred sum, not M2 - mean mean^T
+        xc = data.values - data.values.mean(axis=0)
+        direct = sum(np.outer(x, x) for x in xc) / n
+        assert np.abs(data.centred_moment - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+        # a parameter object's cached terms hold only for the dataset mean they were made with
+        other = Dataset(data.values + 1.0)
+
+        def bits(prm, d):
+            sbar, nll = model.checkpoint_stats(d, prm)
+            return sbar.tobytes(), nll, model.batch_mean(d, idx, prm).tobytes()
+        for d in (data, other, data):
+            fresh = GmmParams(weights=params.weights, means=params.means,
+                              cov_chol=params.cov_chol)
+            assert bits(params, d) == bits(fresh, d)
