@@ -90,6 +90,13 @@ class Dataset:
         return mu
 
     @cached_property
+    def column_sums(self) -> np.ndarray:
+        """Column sums, on first use; for one column, the bits of ``values[:, 0].sum()``."""
+        sums = self.values.sum(axis=0)
+        sums.setflags(write=False)
+        return sums
+
+    @cached_property
     def centred_moment(self) -> np.ndarray:
         """``(1/n) sum_i (y_i - mean)(y_i - mean)^T`` from centred rows, on first use."""
         xc = self.values - self.mean

@@ -17,7 +17,11 @@ over ``(g, m)`` logits centred on the data mean; the rows' quadratic enters the
 likelihood as ``tr(Sigma^{-1} C) / 2``, with C the data's centred moment.  The
 pooled covariance has one formula and is kept as its Cholesky factor, so it is
 positive definite by construction.  The scalar posterior is one in-place
-logistic of the log-odds; softplus only enters the likelihood.
+logistic of the negated log-odds, built from the halved means with ``(mu1 - mu2) / v``
+folded into one scale when v is a power of two; a full pass reads the data sum
+cached on the dataset, and softplus only enters the likelihood.  Halving and
+negation are exact, so the scalar kernel keeps the bits of the ``2y - mu1 - mu2``
+form while no step overflows or leaves the normal range.
 """
 
 from __future__ import annotations
@@ -300,13 +304,13 @@ class PooledGmm(Model):
                            else nll - 0.5 * params.dim * _LOG_2PI)
 
 
-def _logistic(d: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-d))`` in place of ``d``; exactly 0 where ``exp(-d)``
-    overflows (``d < -709.78``), less than 5.6e-309 below the true value."""
+def _logistic(nd: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(nd))`` in place of the negated log-odds ``nd``; exactly 0 where
+    ``exp(nd)`` overflows (``nd > 709.78``), less than 5.6e-309 below the true value."""
     with np.errstate(over="ignore"):
-        np.exp(np.negative(d, out=d), out=d)
-    d += 1.0
-    return np.divide(1.0, d, out=d)
+        np.exp(nd, out=nd)
+    nd += 1.0
+    return np.divide(1.0, nd, out=nd)
 
 
 class ScalarTwoGmm(Model):
@@ -326,6 +330,9 @@ class ScalarTwoGmm(Model):
         self.weights = (w1, w2)
         self.variance = float(variance)
         self.include_norm_const = include_norm_const
+        self._log_w_ratio = np.log(w1) - np.log(w2)
+        # dividing by a power of two is exact, so (mu1 - mu2) / v folds into one scale
+        self._v_pow2 = np.frexp(self.variance)[0] == 0.5
 
     @classmethod
     def from_data(cls, data: Dataset, weights=(0.2, 0.8), variance: float = 1.0,
@@ -339,30 +346,37 @@ class ScalarTwoGmm(Model):
     def stat_dim(self) -> int:
         return 4
 
-    def _log_odds(self, y: np.ndarray, params: ScalarTwoGmmParams) -> np.ndarray:
-        """Log-odds ``d`` of component one, built in place in one new array:
-        ``log(w1 / w2) + (mu1 - mu2) (2 y - mu1 - mu2) / (2 v)``."""
-        (mu1, mu2), (w1, w2) = params.mu, self.weights
-        d = 2.0 * y
-        d -= mu1
-        d -= mu2
-        d *= mu1 - mu2
-        d /= 2.0 * self.variance
-        d += np.log(w1) - np.log(w2)
-        return d
+    def _neg_log_odds(self, y: np.ndarray, params: ScalarTwoGmmParams) -> np.ndarray:
+        """Negated log-odds ``-d`` of component one, built in place in one new array:
+        ``(mu1/2 - y + mu2/2) (mu1 - mu2) / v - log(w1 / w2)``.  Halving and negation
+        are exact and ``fl(2x) = 2 fl(x)``, so this is bitwise the negation of
+        ``(2y - mu1 - mu2) (mu1 - mu2) / (2v) + log(w1 / w2)`` evaluated left to right
+        while no step overflows or leaves the normal range."""
+        mu1, mu2 = params.mu
+        nd = 0.5 * mu1 - y
+        nd += 0.5 * mu2
+        if self._v_pow2:
+            nd *= (mu1 - mu2) / self.variance
+        else:
+            nd *= mu1 - mu2
+            nd /= self.variance
+        nd -= self._log_w_ratio
+        return nd
 
     def _pass(self, data: Dataset, indices, params: ScalarTwoGmmParams, want_nll: bool):
         """One fused E-step pass: (statistic average over the rows, mean NLL).
 
-        Two reductions of ``p1`` give the statistics; the likelihood uses
+        Two reductions of ``p1`` give the statistics, with the data sum of a full
+        pass cached on the dataset; the likelihood uses
         ``log(w1 N1 + w2 N2) = log(w1 N1) + softplus(-d)``.
         """
         y = data.values[:, 0] if indices is None else data.values[indices, 0]
-        d = self._log_odds(y, params)
-        sp = np.logaddexp(0.0, -d) if want_nll else None
-        p1 = _logistic(d)
+        nd = self._neg_log_odds(y, params)
+        sp = np.logaddexp(0.0, nd) if want_nll else None
+        p1 = _logistic(nd)
         m1, yp1 = p1.sum(), y @ p1
-        sbar = np.array([m1, y.size - m1, yp1, y.sum() - yp1]) / y.size
+        ysum = data.column_sums[0] if indices is None else y.sum()
+        sbar = np.array([m1, y.size - m1, yp1, ysum - yp1]) / y.size
         if not want_nll:
             return sbar, float("nan")
         v = self.variance
@@ -374,7 +388,7 @@ class ScalarTwoGmm(Model):
 
     def sbar_rows(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
         y = data.values[:, 0] if indices is None else data.values[indices, 0]
-        p1 = _logistic(self._log_odds(y, params))
+        p1 = _logistic(self._neg_log_odds(y, params))
         yp1 = y * p1
         return np.column_stack([p1, 1.0 - p1, yp1, y - yp1])
 
@@ -400,7 +414,8 @@ class ScalarTwoGmm(Model):
 
 
 def scalar2_m_step(s: np.ndarray) -> ScalarTwoGmmParams:
-    """Means-only M-step: ``mu_l = wsum_l / mass_l``."""
+    """Means-only M-step: ``mu_l = wsum_l / mass_l``.  Raises :class:`DomainError`
+    for an empty component or a non-finite mean."""
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (4,):
         raise ValueError("scalar two-component statistics have length 4")
@@ -409,7 +424,11 @@ def scalar2_m_step(s: np.ndarray) -> ScalarTwoGmmParams:
     if bad.size:
         raise DomainError(f"component {bad[0]} has mass {masses[bad[0]]:.3e}",
                           violation="empty component")
-    return ScalarTwoGmmParams(mu=wsums / masses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = wsums / masses
+    if not np.isfinite(mu).all():
+        raise DomainError("implied means are not finite", violation="non-finite")
+    return ScalarTwoGmmParams(mu=mu)
 
 
 def init_random_responsibility(model: Model, data: Dataset, seed) -> np.ndarray:

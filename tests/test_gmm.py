@@ -325,6 +325,14 @@ class TestScalarTwo:
         with pytest.raises(DomainError):
             scalar2_m_step(np.array([1.0, 0.0, 0.5, 0.0]))
 
+    def test_m_step_non_finite_mean_is_domain_error(self):
+        s = np.array([1e-11, 1.0 - 1e-11, 1e300, 0.0])   # mu1 = 1e311 overflows
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError) as exc:
+                scalar2_m_step(s)
+            assert exc.value.violation == "non-finite"
+            assert ScalarTwoGmm().domain_check(s) == "non-finite"
+
     def test_one_em_step_matches_brute_oracle(self):
         rng = np.random.default_rng(12)
         y = rng.standard_normal(10) + np.where(rng.random(10) < 0.2, 1.0, -1.0) * 0.5
@@ -359,20 +367,42 @@ def _direct_scalar_pass(y, mu, weights, variance):
     return sbar, nll
 
 
+def _two_y_scalar_pass(y, mu, weights, variance, want_nll):
+    """Reference scalar E-step in the ``2y - mu1 - mu2`` form: log-odds ``d`` divided
+    by ``2v``, ``p1 = 1 / (1 + exp(-d))``, the NLL with ``softplus(-d)``;
+    ``(sbar, nll, rows)``, one operation at a time, left to right."""
+    mu1, mu2 = mu
+    d = 2.0 * y
+    d -= mu1
+    d -= mu2
+    d *= mu1 - mu2
+    d /= 2.0 * variance
+    d += np.log(weights[0]) - np.log(weights[1])
+    sp = np.logaddexp(0.0, -d)
+    with np.errstate(over="ignore"):
+        p1 = 1.0 / (1.0 + np.exp(-d))
+    m1, yp1 = p1.sum(), y @ p1
+    sbar = np.array([m1, y.size - m1, yp1, y.sum() - yp1]) / y.size
+    l1 = np.log(weights[0]) - (y - mu1) ** 2 / (2.0 * variance)
+    nll = -(l1 + sp).mean() + 0.5 * np.log(variance) + 0.5 * np.log(2.0 * np.pi)
+    rows = np.column_stack([p1, 1.0 - p1, y * p1, y - y * p1])
+    return sbar, (float(nll) if want_nll else float("nan")), rows
+
+
 class TestScalarLogistic:
     def test_matches_softplus_form(self):
         # |d| up to 1e3 spans exp(-d) overflowing, the subnormal tail and 1 - p1 rounding to 0
         d = np.concatenate([np.linspace(-1e3, 1e3, 20_001), np.linspace(-760.0, -700.0, 6001),
                             np.linspace(-40.0, 40.0, 8001)])
         ref = np.exp(-np.logaddexp(0.0, -d))
-        got = _logistic(d.copy())
+        got = _logistic(-d)   # the kernel takes the negated log-odds
         normal = ref >= np.finfo(float).tiny
         assert np.all(np.abs(got - ref)[normal] <= 1e-14 * ref[normal])
         assert np.all(np.abs(got - ref)[~normal] <= 1e-300)
 
     def test_overflow_gives_exact_zero_silently(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            got = _logistic(np.array([-1e3, -710.0, 0.0, 1e3]))
+            got = _logistic(-np.array([-1e3, -710.0, 0.0, 1e3]))
         assert np.array_equal(got, [0.0, 0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
@@ -415,6 +445,40 @@ class TestScalarLogistic:
         ymax = max(1.0, np.abs(y).max())
         scale = np.array([1.0, 1.0, ymax, ymax])
         assert np.all(np.abs(got - rows.mean(axis=0)) <= 1e-13 * scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           offset=st.floats(-1e8, 1e8), spread=st.floats(1e-3, 1e3),
+           gap=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           w1=st.floats(1e-3, 1.0 - 1e-3),
+           variance=st.one_of(st.integers(-10, 10).map(lambda k: 2.0 ** k),
+                              st.floats(1e-3, 1e3)))
+    def test_kernel_keeps_the_bits_of_the_two_y_form(self, n, seed, offset, spread, gap,
+                                                     w1, variance):
+        # halved means, the folded negation, a power-of-two scale and the cached data
+        # sum move no rounding: every output has the bits of the 2y - mu1 - mu2 form
+        rng = np.random.default_rng(seed)
+        y = offset + spread * rng.standard_normal(n)
+        data = Dataset(y)
+        y = data.values[:, 0]
+        model = ScalarTwoGmm(weights=(w1, 1.0 - w1), variance=variance)
+        mu = offset + np.array(gap)
+        params = ScalarTwoGmmParams(mu=mu)
+        assert data.column_sums[0].tobytes() == y.sum().tobytes()
+        for want_nll in (True, False):
+            ref, ref_nll, ref_rows = _two_y_scalar_pass(y, mu, model.weights, variance,
+                                                         want_nll)
+            sbar, nll = model.checkpoint_stats(data, params, want_nll=want_nll)
+            assert sbar.tobytes() == ref.tobytes()
+            assert np.array([nll]).tobytes() == np.array([ref_nll]).tobytes()
+        assert model.batch_mean(data, None, params).tobytes() == ref.tobytes()
+        assert model.sbar_rows(data, None, params).tobytes() == ref_rows.tobytes()
+        for idx in (np.arange(n), np.sort(rng.integers(0, n, size=n + 3)),
+                    rng.integers(0, n, size=min(n, 16))):   # duplicates and any order
+            ref_b, _, ref_rows_b = _two_y_scalar_pass(y[idx], mu, model.weights,
+                                                       variance, False)
+            assert model.batch_mean(data, idx, params).tobytes() == ref_b.tobytes()
+            assert model.sbar_rows(data, idx, params).tobytes() == ref_rows_b.tobytes()
 
 
 class TestCheckpointStats:
