@@ -57,7 +57,9 @@ class Dataset:
 
     Rows are observations.  The second moment ``(1/n) sum_i y_i y_i^T`` is
     computed once at construction; pooled-covariance M-steps need it on
-    every call.
+    every call.  Read-only caches computed on first use: ``mean``,
+    ``column_sums``, the centred rows ``centred`` (``values - mean``, one
+    ``n x d`` copy that every full pooled pass reads) and ``centred_moment``.
     """
 
     def __init__(self, values, provenance: str = "", labels=None):
@@ -97,9 +99,17 @@ class Dataset:
         return sums
 
     @cached_property
+    def centred(self) -> np.ndarray:
+        """Centred rows ``values - mean``, on first use; elementwise, so the bits of a
+        fresh subtraction."""
+        xc = self.values - self.mean
+        xc.setflags(write=False)
+        return xc
+
+    @cached_property
     def centred_moment(self) -> np.ndarray:
         """``(1/n) sum_i (y_i - mean)(y_i - mean)^T`` from centred rows, on first use."""
-        xc = self.values - self.mean
+        xc = self.centred
         c = xc.T @ xc / self.n
         c = (c + c.T) / 2.0
         c.setflags(write=False)

@@ -13,7 +13,8 @@ Two concrete models:
 
 Numerics: every pooled statistic, store row and likelihood comes from one
 component-major E-step pass (:func:`_gmm_pass`), a softmax with max-subtraction
-over ``(g, m)`` logits centred on the data mean; the rows' quadratic enters the
+over ``(g, m)`` logits centred on the data mean (a full pass reads the centred
+rows cached on the dataset); the rows' quadratic enters the
 likelihood as ``tr(Sigma^{-1} C) / 2``, with C the data's centred moment.  The
 pooled covariance has one formula and is kept as its Cholesky factor, so it is
 positive definite by construction.  The scalar posterior is one in-place
@@ -157,10 +158,15 @@ def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _gmm_pass(params: GmmParams, data: Dataset, indices, want_lse: bool = False):
     """The one pooled E-step over the rows ``indices`` (all rows if ``None``):
     ``(rows, post, lse)``, the rows gathered once, their ``(g, m)`` posteriors and,
-    if wanted, each row's log-sum-exp of the logits, its log-likelihood plus r."""
-    rows = data.values if indices is None else data.values[indices]
+    if wanted, each row's log-sum-exp of the logits, its log-likelihood plus r.
+    A full pass reads the dataset's cached centred rows; a batch centres its own."""
+    if indices is None:
+        rows, xc = data.values, data.centred
+    else:
+        rows = data.values[indices]
+        xc = rows - data.mean
     B, bias = _logit_terms(params, data.mean)
-    a = B @ (rows - data.mean).T
+    a = B @ xc.T
     a += bias[:, None]
     mx = a.max(axis=0)
     np.exp(np.subtract(a, mx, out=a), out=a)
@@ -194,8 +200,10 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
         raise DomainError(f"component {bad[0]} has mass {masses[bad[0]]:.3e}",
                           violation="empty component")
     weights = masses / masses.sum()
-    means = moments / masses[:, None]
-    cov = _pooled_cov(second_moment, masses, means)
+    # overflow shows as a non-finite covariance, reported below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = moments / masses[:, None]
+        cov = _pooled_cov(second_moment, masses, means)
     # what GmmParams would check: a finite covariance implies finite means,
     # and its Cholesky factor, if any, is lower triangular with a positive diagonal
     if not np.isfinite(cov).all():
@@ -465,21 +473,25 @@ def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.n
 
     Picks g distinct rows as centers, runs a few Lloyd iterations, fits
     weights/means/pooled covariance to the hard assignment and maps the
-    parameters to statistics via a full E-step pass.
+    parameters to statistics via a full E-step pass.  A Lloyd update sums each
+    cluster's rows in row order with one ``bincount`` per column, from 0.0, and
+    divides by the count: the bits of ``X[assign == l].mean(axis=0)``.  An empty
+    cluster keeps its centre.
     """
     rng = np.random.default_rng(seed)
     g = model.g
-    X = data.values
-    xc = X - data.mean
+    # the kept cache is made before the transient transpose: the other way round,
+    # the freed transpose would stay resident beneath the cache in the heap
+    X, xc = data.values, data.centred
+    cols = np.ascontiguousarray(X.T)
     centers = X[rng.choice(data.n, size=g, replace=False)].copy()
     for _ in range(n_iter):
         assign = _nearest_center(xc, centers, data.mean)
-        for ell in range(g):
-            mask = assign == ell
-            if mask.any():
-                centers[ell] = X[mask].mean(axis=0)
-    counts = np.bincount(assign, minlength=g).astype(np.float64)
-    counts = np.maximum(counts, 1.0)
+        counts = np.bincount(assign, minlength=g)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=g) for col in cols], axis=1)
+        hit = counts > 0
+        centers[hit] = sums[hit] / counts[hit, None]
+    counts = np.maximum(counts, 1).astype(np.float64)
     weights = counts / counts.sum()
     cov = _pooled_cov(data.second_moment, weights, centers)
     cov = (cov + cov.T) / 2

@@ -26,6 +26,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.values[0, 0] = 2.0
 
+    def test_centred_rows_are_cached_read_only(self):
+        rng = np.random.default_rng(5)
+        data = Dataset(1e6 + rng.standard_normal((50, 3)))
+        xc = data.centred
+        assert xc.tobytes() == (data.values - data.mean).tobytes()
+        assert not xc.flags.writeable
+        assert data.centred is xc
+        with pytest.raises(ValueError):
+            xc[0, 0] = 0.0
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.nan]]))
@@ -51,8 +61,10 @@ class TestCheckpointContract:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(1, 300), g=st.integers(1, 6), p=st.integers(1, 5),
-           offset=st.floats(-1e6, 1e6), seed=st.integers(0, 2**32 - 1))
+           offset=st.floats(-1e8, 1e8), seed=st.integers(0, 2**32 - 1))
     def test_pooled_statistics_are_one_pass_bitwise(self, n, g, p, offset, seed):
+        # a full pass reads the cached Dataset.centred and a batch centres its
+        # gathered rows; the subtraction is elementwise, so no bit may move
         rng = np.random.default_rng(seed)
         data = Dataset(offset + 2.0 * rng.standard_normal((n, p)))
         model = PooledGmm.from_data(g, data)
@@ -69,6 +81,7 @@ class TestCheckpointContract:
         store = PerSampleStatStore(model.store_rows(data, None, params),
                                    partial(model.lift_sum, data))
         assert store.mean.tobytes() == full
+        assert data.centred.tobytes() == (data.values - data.mean).tobytes()
 
 
 class TestBatchStats:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,17 @@ class TestMStep:
         s[4] = np.nan
         with pytest.raises(DomainError) as err:
             gmm_model.m_step(s)
+        assert err.value.violation == "non-finite"
+
+    @pytest.mark.parametrize("s, p", [
+        ([1e-11, 1.0 - 1e-11, 1e300, 0.0], 1),             # a mean overflows in the divide
+        ([0.5, 0.5, 1e200, 1e200, -1e200, 1e200], 2),     # mu mu^T overflows in the matmul
+    ])
+    def test_overflow_is_a_domain_error_without_warning(self, s, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                gmm_m_step(np.array(s), np.eye(p))
         assert err.value.violation == "non-finite"
 
 
@@ -564,6 +577,25 @@ class TestInitializers:
         for a, b in zip(seen, want_assign):
             assert np.array_equal(a, b)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_empty_cluster_keeps_its_centre(self, monkeypatch, seed):
+        # half the rows repeat the first, so two starting centres coincide and
+        # the later one loses every row: its centre must stay where it was
+        rows = np.random.default_rng(seed).standard_normal((30, 2))
+        data = Dataset(np.vstack([rows, np.repeat(rows[:1], 30, axis=0)]))
+        model = PooledGmm.from_data(3, data)
+        counts, real = [], gmm._nearest_center
+
+        def spy(xc, centers, center):
+            assign = real(xc, centers, center)
+            counts.append(np.bincount(assign, minlength=3))
+            return assign
+
+        monkeypatch.setattr(gmm, "_nearest_center", spy)
+        got = init_kmeans(model, data, seed=0)
+        assert any((c == 0).any() for c in counts)
+        assert got.tobytes() == _kmeans_difference_form(model, data, seed=0)[1].tobytes()
 
 
 class TestSerialization:
