@@ -9,7 +9,7 @@ a root of the mean field ``full_stats(m_step(s)) - s``.
 
 import numpy as np
 
-from emvr import PooledGmm, mean_field, objective, run_em
+from emvr import PooledGmm, mean_field, objective, run_algorithm
 from emvr.data import gen_multivariate_mixture
 from emvr.gmm import init_kmeans
 
@@ -20,7 +20,7 @@ model = PooledGmm.from_data(3, data)
 s0 = init_kmeans(model, data, seed=1)
 print(f"start:      objective {objective(model, data, s0):.6f}")
 
-trace = run_em(model, data, s0, k_max=60, metric_mode="update")
+trace = run_algorithm("em", model, data, s0, k_max=60, metric_mode="update")
 for r in trace.records[::10]:
     print(f"iteration {r.tau:3d}: objective {r.objective:.6f}   "
           f"squared mean-field norm {r.h_sq:.3e}")

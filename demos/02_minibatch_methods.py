@@ -8,8 +8,7 @@ norm.  The plain update stalls and fluctuates at its step-size noise
 floor; every corrected method keeps decreasing at the same oracle budget.
 """
 
-from emvr import (MinibatchSampler, PooledGmm, StepSchedule, run_fiem,
-                  run_iem, run_online_em, run_sem_vr, run_spider_em)
+from emvr import MinibatchSampler, PooledGmm, StepSchedule, run_algorithm
 from emvr.data import gen_multivariate_mixture
 from emvr.gmm import init_kmeans
 
@@ -23,17 +22,12 @@ per_epoch = data.n // b
 gamma = StepSchedule.constant(5e-3)
 stream = lambda: MinibatchSampler(b, seed=42)  # same stream for everyone
 
-runs = {
-    "online-em": run_online_em(model, data, s0, stream(), gamma, epochs * per_epoch),
-    "iem": run_iem(model, data, s0, stream(), StepSchedule.constant(1.0),
-                   epochs * per_epoch),
-    "fiem": run_fiem(model, data, s0, stream(), MinibatchSampler(b, seed=99),
-                     gamma, epochs * per_epoch),
-    "sem-vr": run_sem_vr(model, data, s0, stream(), gamma,
-                         k_out=epochs // 2, k_in=per_epoch + 1),
-    "spider-em": run_spider_em(model, data, s0, stream(), gamma,
-                               k_out=epochs // 2, k_in=per_epoch + 1),
-}
+# a flat method reads k_max, a nested one k_out and k_in; iEM steps at 1
+lengths = dict(k_max=epochs * per_epoch, k_out=epochs // 2, k_in=per_epoch + 1)
+# seeds(tag) gives the seed of FIEM's second batch stream
+runs = {name: run_algorithm(name, model, data, s0, stream(), gamma, seeds=lambda tag: 99,
+                            **lengths)
+        for name in ("online-em", "iem", "fiem", "sem-vr", "spider-em")}
 
 print(f"{'epoch':>5} " + " ".join(f"{name:>11}" for name in runs))
 grid = [5, 10, 20, 30]

@@ -10,8 +10,7 @@ measures how close, elementwise, over every iterate.
 
 import numpy as np
 
-from emvr import (MinibatchSampler, PooledGmm, StepSchedule, run_spider_em,
-                  run_spider_em_cv)
+from emvr import MinibatchSampler, PooledGmm, StepSchedule, run_algorithm
 from emvr.data import gen_multivariate_mixture
 from emvr.gmm import init_random_responsibility
 
@@ -21,10 +20,11 @@ s0 = init_random_responsibility(model, data, seed=3)
 gamma = StepSchedule.constant(5e-3)
 
 kw = dict(metric_mode="none", snapshot_mode="every-update")
-difference_form = run_spider_em(model, data, s0, MinibatchSampler(25, seed=5),
+difference_form = run_algorithm("spider-em", model, data, s0, MinibatchSampler(25, seed=5),
                                 gamma, k_out=3, k_in=20, **kw)
-control_variate_form = run_spider_em_cv(model, data, s0, MinibatchSampler(25, seed=5),
-                                        gamma, k_out=3, k_in=20, **kw)
+control_variate_form = run_algorithm("spider-em-cv", model, data, s0,
+                                     MinibatchSampler(25, seed=5), gamma, k_out=3, k_in=20,
+                                     **kw)
 
 a = difference_form.snapshot_map()
 b = control_variate_form.snapshot_map()

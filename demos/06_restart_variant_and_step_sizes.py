@@ -10,8 +10,8 @@ and spectrum bounds into the constant step size the analysis prescribes.
 import numpy as np
 
 from emvr import (MinibatchSampler, ScalarTwoGmm, ScalarTwoGmmParams,
-                  StepSchedule, full_stats, objective, run_em,
-                  run_spider_em_pl, theoretical_step_size)
+                  StepSchedule, full_stats, objective, run_algorithm,
+                  theoretical_step_size)
 from emvr.data import gen_scalar_mixture
 
 data = gen_scalar_mixture(n=400, means=(2.0, -2.0), seed=13)
@@ -19,12 +19,13 @@ model = ScalarTwoGmm.from_data(data)
 s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([3.0, -1.0])))
 
 # reference minimum from a long exact run
-w_min = objective(model, data, run_em(model, data, s0, 300, metric_mode="none").s_final)
+w_min = objective(model, data, run_algorithm("em", model, data, s0, k_max=300,
+                                             metric_mode="none").s_final)
 
-trace = run_spider_em_pl(model, data, s0, MinibatchSampler(10, seed=17),
-                         StepSchedule.constant(0.3), k_out=10, k_in=41,
-                         rng=np.random.default_rng(5),
-                         snapshot_mode="every-update", metric_mode="none")
+# seeds(tag) gives the seed of the inner-length draws
+trace = run_algorithm("spider-em-pl", model, data, s0, MinibatchSampler(10, seed=17),
+                      StepSchedule.constant(0.3), seeds=lambda tag: 5, k_out=10, k_in=41,
+                      snapshot_mode="every-update", metric_mode="none")
 snaps = trace.snapshot_map()
 print("objective gap at each outer restart:")
 prev = None

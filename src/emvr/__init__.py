@@ -14,8 +14,6 @@ from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    mean_field, minibatch_stats, mstep, objective)
 from .algorithms import (PerSampleStatStore, RunTrace, StepSchedule,
                          TraceRecord, randomized_terminate, run_algorithm,
-                         run_em, run_fiem, run_iem, run_online_em, run_sem_vr,
-                         run_spider_em, run_spider_em_cv, run_spider_em_pl,
                          theoretical_step_size)
 from .gmm import (GmmParams, PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
                   gmm_m_step, gmm_phi, gmm_posterior, init_kmeans,

@@ -6,11 +6,11 @@ average.  One private driver runs the loop they share: the initial refit,
 the checkpoint recorder, divergence handling and the outer/inner control
 of the nested methods.  Each method is a small estimator class, registered
 by name in :data:`ESTIMATORS`, that declares what the driver and the
-harness need to know of it.  The eight ``run_*`` functions are thin
-wrappers around the driver; their recording keywords (``**record``) go
-to its recorder unchanged.  :func:`run_algorithm` runs a method by name
-and can warm-start it: the driver then runs online EM for a number of
-data passes first, and the method continues in the same trace.
+harness need to know of it and documents its cost.  :func:`run_algorithm`
+is the one entry point: it runs a method by name, passes its recording
+keywords (``**record``) to the recorder unchanged, and can warm-start it:
+the driver then runs online EM for a number of data passes first, and the
+method continues in the same trace.
 
 Every run owns its statistic vector, sampler and counters; divergence
 (an inadmissible statistic or a non-finite entry) marks the trace, with
@@ -174,8 +174,8 @@ class _LastPass:
 class _Recorder:
     """Checkpoint bookkeeping of one run, labelled by its current phase.
 
-    It alone names the recording keywords every run takes, and their
-    defaults.  ``metric_mode``: "epoch" records whenever the epoch counter
+    It alone names the recording keywords :func:`run_algorithm` takes, and
+    their defaults.  ``metric_mode``: "epoch" records whenever the epoch counter
     crosses an integer, "update" records after every statistic update,
     "none" records only the initial and final states.  Metric evaluation
     charges the monitor counters, never the algorithmic ones, and leaves
@@ -327,11 +327,13 @@ class _Estimator:
 
     The class attributes are what the driver and the harness know of a
     method: an update costs ``passes`` batch E-steps of b rows (n rows for
-    a ``full_batch`` method, the only kind that needs no sampler); a
-    method that ``relaxes`` steps ``s + gamma * direction``, one that does
-    not takes the direction as its next iterate; ``refresh`` is None for a
+    a ``full_batch`` method, the only kind that needs no sampler) and one
+    M-step, as do the initial refit and each refresh with n rows; a method
+    that ``relaxes`` steps ``s + gamma * direction``, one that does not
+    takes the direction as its next iterate; ``refresh`` is None for a
     flat method and "damped" or "restart" for a nested one; the harness
-    warm-starts ``warm`` methods and runs ``unit_step`` ones at step 1.
+    warm-starts ``warm`` methods, and the driver runs ``unit_step`` ones at
+    step 1 whatever the schedule.
     """
 
     name = ""
@@ -352,6 +354,12 @@ class _Estimator:
     def seeded(cls, model, data, sampler, seeds):
         """An instance whose extra random stream, if any, is seeded by ``seeds(tag)``."""
         return cls(model, data, sampler)
+
+    @classmethod
+    def _seed(cls, seeds, tag):
+        if seeds is None:
+            raise ValueError(f"{cls.name} needs a seed stream, got None")
+        return seeds(tag)
 
     # the oracles, charged to the run and looked up at call time; a call at
     # the last monitored iterate reuses that pass and is charged all the same
@@ -392,7 +400,7 @@ class _Estimator:
 
 
 class _FullRefit(_Estimator):
-    """EM: the exact refit."""
+    """EM: each update replaces the statistics by their exact refit average."""
 
     name, full_batch, relaxes, unit_step = "em", True, False, True
 
@@ -401,7 +409,8 @@ class _FullRefit(_Estimator):
 
 
 class _Online(_Estimator):
-    """Online EM: the refit average over a batch."""
+    """Online EM, stochastic approximation: relax the statistics toward the
+    refit average over a batch with step gamma_tau."""
 
     name = "online-em"
 
@@ -410,8 +419,10 @@ class _Online(_Estimator):
 
 
 class _Store(_Estimator):
-    """iEM: the mean of the per-sample store, which keeps the model's
-    ``store_rows`` and sums them through its ``lift_sum``."""
+    """iEM: refresh the per-sample store on each batch and take its mean, at
+    step 1.  The store keeps the model's ``store_rows`` (g posteriors a row
+    for a mixture), capped at 2 GiB, and sums them through its
+    ``lift_sum``."""
 
     name, unit_step = "iem", True
 
@@ -437,21 +448,22 @@ class _Store(_Estimator):
 
 
 class _StoreCv(_Store):
-    """FIEM: a second batch's refit average plus the store's control variate."""
+    """FIEM: refresh the store on one batch, then step along a second,
+    independent batch's refit average corrected by ``store mean - store
+    batch mean``, which keeps the step unbiased for the exact mean field.
+    The second batch stream is seeded by ``seeds(1)``."""
 
     name, passes, warm, unit_step = "fiem", 2, True, False
 
     def __init__(self, model, data, sampler, sampler_extra: MinibatchSampler):
         super().__init__(model, data, sampler)
-        if sampler_extra is None:
-            raise ValueError(f"{self.name} needs a second minibatch sampler, got None")
         self.sampler_extra = sampler_extra
 
     @classmethod
     def seeded(cls, model, data, sampler, seeds):
         # without a sampler, __init__ raises before any seed is drawn
         return cls(model, data, sampler, None if sampler is None else MinibatchSampler(
-            sampler.batch_size, seeds(_EXTRA_STREAM_TAG), mode=sampler.mode))
+            sampler.batch_size, cls._seed(seeds, _EXTRA_STREAM_TAG), mode=sampler.mode))
 
     def direction(self, s):
         params = self._refresh(s)
@@ -462,7 +474,8 @@ class _StoreCv(_Store):
 
 class _Anchor(_Estimator):
     """sEM-vr: a batch refit average plus the control variate of the anchor,
-    the reference point."""
+    the reference point refitted at each damped refresh: ``full anchor
+    average - batch anchor average``, zero mean by construction."""
 
     name, passes, refresh, warm = "sem-vr", 2, "damped", True
 
@@ -473,9 +486,9 @@ class _Anchor(_Estimator):
 
 
 class _PathIntegrated(_Estimator):
-    """SPIDER-EM: the refit average at the last refresh plus the batch
-    differences along the path since; the reference point is the lagged
-    iterate."""
+    """SPIDER-EM: the refit average at the last refresh, a damped update,
+    advanced by the difference of the batch averages at the current iterate
+    and at the previous one, the reference point."""
 
     name, passes, refresh, warm = "spider-em", 2, "damped", True
 
@@ -489,7 +502,9 @@ class _PathIntegrated(_Estimator):
 
 class _ExplicitCv(_Estimator):
     """SPIDER-EM as the last batch refit average plus an explicit control
-    variate accumulated since the last refresh."""
+    variate accumulated since the last refresh, reset to zero at each one.
+    On the same batch stream its trajectory is SPIDER-EM's elementwise, up
+    to float associativity."""
 
     name, passes, refresh, warm = "spider-em-cv", 2, "damped", True
 
@@ -506,7 +521,11 @@ class _ExplicitCv(_Estimator):
 
 
 class _Restart(_PathIntegrated):
-    """SPIDER-EM restarted after a uniformly random 1 to k_in - 1 inner steps."""
+    """SPIDER-EM restarted after a uniformly random 1 to k_in - 1 inner steps.
+
+    Each restart keeps the last iterate and refits there, with no damped
+    step.  ``rng``, seeded by ``seeds(2)``, drives only the inner-length
+    draws, which the trace keeps as ``xi``."""
 
     name, refresh = "spider-em-pl", "restart"
 
@@ -516,7 +535,8 @@ class _Restart(_PathIntegrated):
 
     @classmethod
     def seeded(cls, model, data, sampler, seeds):
-        return cls(model, data, sampler, np.random.default_rng(seeds(_RESTART_STREAM_TAG)))
+        return cls(model, data, sampler,
+                   np.random.default_rng(cls._seed(seeds, _RESTART_STREAM_TAG)))
 
     def inner_lengths(self, k_max, k_in, k_out, xi):
         for _ in range(k_out):
@@ -559,6 +579,10 @@ def _run(est: _Estimator, s_init, schedule, record: dict, *, k_max=None, k_in=No
     if warm_epochs < 0:
         raise ValueError("warm_epochs must be >= 0")
     warm = _Online(est.model, est.data, est.sampler) if warm_epochs else None
+    # a unit-step method runs at step 1, after a warm phase on the schedule
+    for phase in filter(None, (warm, est)):
+        if schedule is None and not phase.unit_step:
+            raise ValueError(f"{phase.name} needs a step schedule, got None")
     first = warm or est
     trace = RunTrace(first.name, est.data.n, batch_size=None if first.full_batch else first.b)
     # the recorder checks the recording keywords before the model is first called
@@ -573,8 +597,8 @@ def _run(est: _Estimator, s_init, schedule, record: dict, *, k_max=None, k_in=No
         trace.algorithm = f"warmup+{est.name}"
         rec.resume(est.name, iters, iters * warm.b / est.data.n)
     trace.k_in, trace.k_out, trace.k_max = k_in, k_out, k_max
-    _phase(est, rec, s, schedule, k_max=k_max, k_in=k_in, k_out=k_out,
-           outer_gamma=outer_gamma)
+    _phase(est, rec, s, StepSchedule.constant(1.0) if est.unit_step else schedule,
+           k_max=k_max, k_in=k_in, k_out=k_out, outer_gamma=outer_gamma)
     return trace
 
 
@@ -633,16 +657,22 @@ def _phase(est: _Estimator, rec: _Recorder, s: np.ndarray, schedule, *, k_max=No
     trace.s_final = s.copy()
 
 
-def run_algorithm(name: str, model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                  schedule: StepSchedule, seeds, *, k_max=None, k_in=None, k_out=None,
-                  outer_gamma=None, warm_epochs: int = 0, **record) -> RunTrace:
-    """Run the method registered as ``name`` in :data:`ESTIMATORS`.
+def run_algorithm(name: str, model: Model, data: Dataset, s_init,
+                  sampler: MinibatchSampler | None = None,
+                  schedule: StepSchedule | None = None, seeds=None, *, k_max=None,
+                  k_in=None, k_out=None, outer_gamma=None, warm_epochs: int = 0,
+                  **record) -> RunTrace:
+    """Run the method registered as ``name`` in :data:`ESTIMATORS`, the one
+    entry point: ``run_algorithm("em", model, data, s0, k_max=100)``.
 
-    A flat method uses ``k_max``, a nested one ``k_in`` and ``k_out`` (and a
-    damped one ``outer_gamma``).  ``seeds(tag)`` returns the seed sequence of
-    an extra random stream, for a method that needs one; ``record`` takes
-    the recording keywords of every ``run_*`` routine.  A divergence is
-    reported at the position of the trace's ``s_final``.
+    ``sampler`` draws the batches of every method but EM.  A flat method
+    runs ``k_max`` updates, a nested one ``k_out`` outer loops of ``k_in``,
+    a damped one with refresh step ``outer_gamma`` (default: the
+    schedule's).  EM and iEM (``unit_step``) run at step 1; any other
+    method, and a warm phase, needs a ``schedule``.  ``seeds(tag)`` seeds a
+    method's extra random stream; ``record`` takes :class:`_Recorder`'s
+    keywords.  A bad argument raises before the model is first called; a
+    divergence is reported at the position of the trace's ``s_final``.
 
     ``warm_epochs * updates_per_epoch(n, b)`` updates of online EM on
     ``sampler`` (phase ``warmup``, same schedule) come first.  The method's
@@ -650,99 +680,11 @@ def run_algorithm(name: str, model: Model, data: Dataset, s_init, sampler: Minib
     by the warm updates and epoch by the data passes they made, ``updates *
     b / n``; a warm phase that does not complete ends the run as
     ``online-em``."""
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown method {name!r}; registered: {', '.join(ESTIMATORS)}")
     est = ESTIMATORS[name].seeded(model, data, sampler, seeds)
     return _run(est, s_init, schedule, record, k_max=k_max, k_in=k_in, k_out=k_out,
                 outer_gamma=outer_gamma, warm_epochs=warm_epochs)
-
-
-def run_em(model: Model, data: Dataset, s_init, k_max: int, **record) -> RunTrace:
-    """Full-batch EM: each update replaces the statistics by their exact
-    refit average.  Costs n conditional expectations and one M-step per
-    update (plus the same once for the initial refit)."""
-    return _run(_FullRefit(model, data), s_init, None, record, k_max=k_max)
-
-
-def run_online_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                  schedule: StepSchedule, k_max: int, **record) -> RunTrace:
-    """Stochastic-approximation EM: relax the statistics toward a minibatch
-    refit average with step gamma_k.  One minibatch E-step and one M-step
-    per update, after an initial full refit."""
-    return _run(_Online(model, data, sampler), s_init, schedule, record, k_max=k_max)
-
-
-def run_iem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-            schedule: StepSchedule | None = None, k_max: int = 0, **record) -> RunTrace:
-    """Incremental EM: refresh the stored per-sample statistics on each
-    batch and track their mean.  Default step size is 1 (the statistics
-    equal the store mean).  Memory is n rows of the model's ``store_rows``
-    width (g posteriors for a mixture), capped at 2 GiB."""
-    if schedule is None:
-        schedule = StepSchedule.constant(1.0)
-    return _run(_Store(model, data, sampler), s_init, schedule, record, k_max=k_max)
-
-
-def run_fiem(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-             sampler_extra: MinibatchSampler, schedule: StepSchedule, k_max: int,
-             **record) -> RunTrace:
-    """Incremental EM with a store-based control variate.
-
-    Each update refreshes the store on one batch, then steps along a second,
-    independent batch direction corrected by ``store mean - store batch
-    mean``, which keeps the step unbiased for the exact mean field.
-    Costs 2b conditional expectations and one M-step per update."""
-    return _run(_StoreCv(model, data, sampler, sampler_extra), s_init, schedule, record,
-                k_max=k_max)
-
-
-def run_sem_vr(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-               schedule: StepSchedule, k_out: int, k_in: int, *,
-               outer_gamma: float | None = None, **record) -> RunTrace:
-    """Nested-loop EM with an anchor control variate.
-
-    Each outer loop refits the full statistics at the current anchor, then
-    runs k_in - 1 inner steps whose minibatch direction is corrected by
-    ``full anchor average - batch anchor average`` (zero mean by
-    construction); the outer refresh itself is a damped update.  Inner
-    updates cost 2b conditional expectations and one M-step; the refresh
-    costs n and one."""
-    return _run(_Anchor(model, data, sampler), s_init, schedule, record, k_in=k_in,
-                k_out=k_out, outer_gamma=outer_gamma)
-
-
-def run_spider_em(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                  schedule: StepSchedule, k_out: int, k_in: int, *,
-                  outer_gamma: float | None = None, **record) -> RunTrace:
-    """Nested-loop EM with a path-integrated difference estimator.
-
-    The running estimate of the full refit average is advanced by the
-    difference of the batch averages at the current and previous iterates,
-    and reset by a full pass at every outer refresh.  Inner updates cost
-    2b conditional expectations and one M-step; the refresh costs n and
-    one, followed by a damped update."""
-    return _run(_PathIntegrated(model, data, sampler), s_init, schedule, record,
-                k_in=k_in, k_out=k_out, outer_gamma=outer_gamma)
-
-
-def run_spider_em_cv(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                     schedule: StepSchedule, k_out: int, k_in: int, *,
-                     outer_gamma: float | None = None, **record) -> RunTrace:
-    """The same sequence as :func:`run_spider_em`, written as an online
-    update plus an explicit control variate accumulated across the inner
-    loop and reset to zero at each outer refresh.  Identical batch streams
-    give elementwise-identical trajectories up to float associativity."""
-    return _run(_ExplicitCv(model, data, sampler), s_init, schedule, record,
-                k_in=k_in, k_out=k_out, outer_gamma=outer_gamma)
-
-
-def run_spider_em_pl(model: Model, data: Dataset, s_init, sampler: MinibatchSampler,
-                     schedule: StepSchedule, k_out: int, k_in: int, rng,
-                     **record) -> RunTrace:
-    """Restart variant: each outer loop runs a uniformly random number of
-    inner difference-estimator steps (1 to k_in - 1), then restarts from
-    the last iterate with a fresh full refit and no damped outer step.
-    ``rng`` drives only the inner-length draws."""
-    return _run(_Restart(model, data, sampler, rng), s_init, schedule, record,
-                k_in=k_in, k_out=k_out)
 
 
 def randomized_terminate(trace: RunTrace, rng) -> tuple[int, int, np.ndarray]:

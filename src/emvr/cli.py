@@ -123,14 +123,15 @@ def _check_sampler() -> tuple[bool, str]:
 
 
 def _check_equivalence() -> tuple[bool, str]:
-    from .algorithms import StepSchedule, run_spider_em, run_spider_em_cv
+    from .algorithms import StepSchedule, run_algorithm
     data = gen_multivariate_mixture(500, 12, 5, 4.0, seed=11)
     model = PooledGmm.from_data(12, data)
     s0 = init_random_responsibility(model, data, seed=3)
     sched = StepSchedule.constant(5e-3)
     kw = dict(metric_mode="none", snapshot_mode="every-update")
-    tr_a = run_spider_em(model, data, s0, MinibatchSampler(25, 5), sched, 3, 20, **kw)
-    tr_b = run_spider_em_cv(model, data, s0, MinibatchSampler(25, 5), sched, 3, 20, **kw)
+    tr_a, tr_b = (run_algorithm(name, model, data, s0, MinibatchSampler(25, 5), sched,
+                                k_out=3, k_in=20, **kw)
+                  for name in ("spider-em", "spider-em-cv"))
     snaps_a, snaps_b = tr_a.snapshot_map(), tr_b.snapshot_map()
     worst = max(float(np.abs(snaps_a[key] - snaps_b[key]).max()) for key in snaps_a)
     return worst <= 1e-10, f"max |difference| {worst:.3e}"

@@ -199,21 +199,22 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
     if bad.size:
         raise DomainError(f"component {bad[0]} has mass {masses[bad[0]]:.3e}",
                           violation="empty component")
-    weights = masses / masses.sum()
-    # overflow shows as a non-finite covariance, reported below, not as a warning
+    # overflow shows as a non-finite mass sum or covariance, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        total = masses.sum()
         means = moments / masses[:, None]
         cov = _pooled_cov(second_moment, masses, means)
-    # what GmmParams would check: a finite covariance implies finite means,
-    # and its Cholesky factor, if any, is lower triangular with a positive diagonal
-    if not np.isfinite(cov).all():
-        raise DomainError("implied covariance is not finite", violation="non-finite")
+    # what GmmParams would check: a finite mass sum gives unit-sum weights, a finite
+    # covariance finite means; its Cholesky factor is lower triangular, positive diagonal
+    if not (np.isfinite(total) and np.isfinite(cov).all()):
+        raise DomainError("mass sum or implied covariance is not finite",
+                          violation="non-finite")
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise DomainError("implied covariance is not positive definite",
                           violation="degenerate covariance") from None
-    return GmmParams._trusted(weights, means, chol)
+    return GmmParams._trusted(masses / total, means, chol)
 
 
 def gmm_phi(params: GmmParams) -> np.ndarray:

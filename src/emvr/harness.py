@@ -171,6 +171,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[data] unknown kind {cfg.data_kind!r}")
     if cfg.data_kind == "file" and not cfg.data_path:
         raise ConfigError("[data] kind=file requires a path")
+    if cfg.step_kind not in ("constant", "inverse-sqrt"):
+        raise ConfigError(f"[steps] unknown kind {cfg.step_kind!r}")
     for key, allowed in (("sampling", (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
                          ("metric", METRIC_MODES), ("snapshot", SNAPSHOT_MODES)):
         value = getattr(cfg, key)
@@ -296,7 +298,7 @@ def run_single(cfg: ExperimentConfig, algo: str, seed: int, model, data: Dataset
         return np.random.SeedSequence([seed + off, *tags])
 
     sampler = MinibatchSampler(cfg.batch_size or data.n, seeds(), mode=cfg.sampling)
-    return run_algorithm(algo, model, data, s_init, sampler, _make_schedule(cfg, algo),
+    return run_algorithm(algo, model, data, s_init, sampler, _make_schedule(cfg),
                          seeds, k_max=k_max, k_in=k_in, k_out=k_out,
                          outer_gamma=cfg.outer_gamma, warm_epochs=warm,
                          metric_mode=cfg.metric, epsilon=cfg.epsilon,
@@ -304,14 +306,10 @@ def run_single(cfg: ExperimentConfig, algo: str, seed: int, model, data: Dataset
                          compute_objective=cfg.metric != "update")
 
 
-def _make_schedule(cfg: ExperimentConfig, algo: str) -> StepSchedule:
-    if ESTIMATORS[algo].unit_step:
-        return StepSchedule.constant(1.0)
-    if cfg.step_kind == "constant":
-        return StepSchedule.constant(cfg.gamma)
+def _make_schedule(cfg: ExperimentConfig) -> StepSchedule:
     if cfg.step_kind == "inverse-sqrt":
         return StepSchedule.inverse_sqrt(cfg.step_coefficient)
-    raise ConfigError(f"[steps] unknown kind {cfg.step_kind!r}")
+    return StepSchedule.constant(cfg.gamma)
 
 
 def trace_to_csv(trace: RunTrace, path) -> None:

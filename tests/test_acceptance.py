@@ -16,9 +16,8 @@ import pytest
 from emvr import (WITHOUT_REPLACEMENT, MinibatchSampler, PooledGmm,
                   ScalarTwoGmm, ScalarTwoGmmParams, StepSchedule,
                   fd_natural_jacobian, fd_objective_gradient, full_stats,
-                  mean_field, minibatch_stats, run_em, run_fiem, run_iem,
-                  run_online_em, run_sem_vr, run_spider_em, run_spider_em_cv,
-                  run_spider_em_pl)
+                  mean_field, minibatch_stats, run_algorithm)
+from emvr.algorithms import ESTIMATORS
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.gmm import init_random_responsibility
 from emvr.harness import (ExperimentConfig, build_dataset, build_model,
@@ -67,8 +66,10 @@ def test_02_algorithm_equivalence():
     s0 = init_random_responsibility(model, data, seed=3)
     sched = StepSchedule.constant(5e-3)
     kw = dict(metric_mode="none", snapshot_mode="every-update")
-    a = run_spider_em(model, data, s0, MinibatchSampler(25, 5), sched, 3, 20, **kw)
-    b = run_spider_em_cv(model, data, s0, MinibatchSampler(25, 5), sched, 3, 20, **kw)
+    a = run_algorithm("spider-em", model, data, s0, MinibatchSampler(25, 5), sched, k_out=3,
+                      k_in=20, **kw)
+    b = run_algorithm("spider-em-cv", model, data, s0, MinibatchSampler(25, 5), sched,
+                      k_out=3, k_in=20, **kw)
     sa, sb = a.snapshot_map(), b.snapshot_map()
     assert sorted(sa) == sorted(sb)
     worst = max(float(np.abs(sa[key] - sb[key]).max()) for key in sa)
@@ -85,7 +86,8 @@ def test_03_full_batch_collapse():
     data = gen_scalar_mixture(40, seed=5)
     model = ScalarTwoGmm.from_data(data)
     s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
-    em = run_em(model, data, s0, 20, snapshot_mode="every-update", metric_mode="none")
+    em = run_algorithm("em", model, data, s0, k_max=20, snapshot_mode="every-update",
+                       metric_mode="none")
     em_map = {k: s for _, _, k, s in em.snapshots if k >= 0}
     unit = StepSchedule.constant(1.0)
 
@@ -93,14 +95,14 @@ def test_03_full_batch_collapse():
         return MinibatchSampler(data.n, seed=0, mode=WITHOUT_REPLACEMENT)
 
     worst = 0.0
-    online = run_online_em(model, data, s0, sampler(), unit, 20,
+    online = run_algorithm("online-em", model, data, s0, sampler(), unit, k_max=20,
                            snapshot_mode="every-update", metric_mode="none")
     for _, _, k, s in online.snapshots:
         if k >= 0:
             worst = max(worst, float(np.abs(s - em_map[k]).max()))
-    for runner in (run_sem_vr, run_spider_em):
-        tr = runner(model, data, s0, sampler(), unit, 4, 5,
-                    snapshot_mode="every-update", metric_mode="none")
+    for name in ("sem-vr", "spider-em"):
+        tr = run_algorithm(name, model, data, s0, sampler(), unit, k_out=4, k_in=5,
+                           snapshot_mode="every-update", metric_mode="none")
         for _, t, k, s in tr.snapshots:
             if k < 0:
                 continue
@@ -182,7 +184,7 @@ def separated_fixture():
 def test_06_em_monotonicity_and_fixed_point(separated_fixture):
     model, data = separated_fixture
     s0 = init_random_responsibility(model, data, seed=0)
-    trace = run_em(model, data, s0, 100, metric_mode="update")
+    trace = run_algorithm("em", model, data, s0, k_max=100, metric_mode="update")
     w = trace.column("objective")
     max_increase = float(np.diff(w).max())
     terminal_h_sq = trace.final_record().h_sq
@@ -213,32 +215,12 @@ def test_08_oracle_accounting():
         k_max = int(rng.integers(1, 40))
         k_in = int(rng.integers(2, 9))
         k_out = int(rng.integers(1, 7))
-        runs = {
-            "em": lambda: run_em(model, data, s0, k_max, metric_mode="none"),
-            "online-em": lambda: run_online_em(
-                model, data, s0, MinibatchSampler(b, trial), sched, k_max,
-                metric_mode="none"),
-            "iem": lambda: run_iem(
-                model, data, s0, MinibatchSampler(b, trial), None, k_max,
-                metric_mode="none"),
-            "fiem": lambda: run_fiem(
-                model, data, s0, MinibatchSampler(b, trial),
-                MinibatchSampler(b, trial + 100), sched, k_max, metric_mode="none"),
-            "sem-vr": lambda: run_sem_vr(
-                model, data, s0, MinibatchSampler(b, trial), sched, k_out, k_in,
-                metric_mode="none"),
-            "spider-em": lambda: run_spider_em(
-                model, data, s0, MinibatchSampler(b, trial), sched, k_out, k_in,
-                metric_mode="none"),
-            "spider-em-cv": lambda: run_spider_em_cv(
-                model, data, s0, MinibatchSampler(b, trial), sched, k_out, k_in,
-                metric_mode="none"),
-            "spider-em-pl": lambda: run_spider_em_pl(
-                model, data, s0, MinibatchSampler(b, trial), sched, k_out, k_in,
-                np.random.default_rng(trial), metric_mode="none"),
-        }
-        for algo, go in runs.items():
-            trace = go()
+        # FIEM's second batch stream and the restart lengths have their own seeds
+        extra = {"fiem": trial + 100, "spider-em-pl": trial}
+        for algo in ESTIMATORS:
+            trace = run_algorithm(algo, model, data, s0, MinibatchSampler(b, trial), sched,
+                                  lambda tag: extra[algo], k_max=k_max, k_in=k_in,
+                                  k_out=k_out, metric_mode="none")
             expect = expected_totals(algo, data.n, b=b, k_in=k_in, k_out=k_out,
                                      k_max=k_max, xi=trace.xi)
             got = (trace.counters.ce, trace.counters.mstep)
@@ -411,8 +393,8 @@ def test_10_determinism(tmp_path):
     data = gen_multivariate_mixture(200, 3, 2, 4.0, seed=1)
     model = PooledGmm.from_data(3, data)
     s0 = init_random_responsibility(model, data, seed=2)
-    runs = [run_spider_em(model, data, s0, MinibatchSampler(10, 3),
-                          StepSchedule.constant(5e-3), 2, 5,
+    runs = [run_algorithm("spider-em", model, data, s0, MinibatchSampler(10, 3),
+                          StepSchedule.constant(5e-3), k_out=2, k_in=5,
                           snapshot_mode="every-update") for _ in range(2)]
     same_sequence = all(np.array_equal(sa, sb) for (_, _, _, sa), (_, _, _, sb)
                         in zip(runs[0].snapshots, runs[1].snapshots))

@@ -1,3 +1,4 @@
+import re
 from functools import partial
 from itertools import combinations, product
 
@@ -9,10 +10,9 @@ from emvr import (WITHOUT_REPLACEMENT, Dataset, MinibatchSampler, Model,
                   OracleCounters, PerSampleStatStore, PooledGmm,
                   ScalarTwoGmm, ScalarTwoGmmParams,
                   StepSchedule, full_stats, mean_field, minibatch_stats,
-                  randomized_terminate, run_algorithm, run_em, run_fiem,
-                  run_iem, run_online_em, run_sem_vr, run_spider_em,
-                  run_spider_em_cv, run_spider_em_pl, theoretical_step_size)
-from emvr.algorithms import ESTIMATORS, RunTrace
+                  randomized_terminate, run_algorithm, theoretical_step_size)
+from emvr import algorithms
+from emvr.algorithms import ESTIMATORS, RunTrace, _run
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.gmm import init_random_responsibility
 from emvr.harness import expected_totals
@@ -80,19 +80,19 @@ class TestSchedules:
 class TestEm:
     def test_fixed_point_stays_fixed(self):
         model, data, s0 = separated_scalar()
-        s_star = run_em(model, data, s0, 200, metric_mode="none").s_final
-        again = run_em(model, data, s_star, 5, metric_mode="update")
+        s_star = run_algorithm("em", model, data, s0, k_max=200, metric_mode="none").s_final
+        again = run_algorithm("em", model, data, s_star, k_max=5, metric_mode="update")
         snaps = again.column("h_sq")
         assert (snaps <= 1e-20).all()
 
     def test_well_separated_convergence(self):
         model, data, s0 = separated_scalar()
-        trace = run_em(model, data, s0, 100, metric_mode="none")
+        trace = run_algorithm("em", model, data, s0, k_max=100, metric_mode="none")
         assert trace.final_record().h_sq <= 1e-12
 
     def test_counters(self):
         model, data, s0 = separated_scalar()
-        trace = run_em(model, data, s0, 13)
+        trace = run_algorithm("em", model, data, s0, k_max=13)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "em", data.n, k_max=13)
 
@@ -100,11 +100,12 @@ class TestEm:
 class TestOnlineEm:
     def test_full_batch_unit_step_collapses_to_em(self):
         model, data, s0 = overlapping_scalar()
-        em = run_em(model, data, s0, 20, snapshot_mode="every-update",
-                    metric_mode="none")
+        em = run_algorithm("em", model, data, s0, k_max=20, snapshot_mode="every-update",
+                           metric_mode="none")
         sampler = MinibatchSampler(data.n, seed=0, mode=WITHOUT_REPLACEMENT)
-        online = run_online_em(model, data, s0, sampler, StepSchedule.constant(1.0),
-                               20, snapshot_mode="every-update", metric_mode="none")
+        online = run_algorithm("online-em", model, data, s0, sampler,
+                               StepSchedule.constant(1.0), k_max=20,
+                               snapshot_mode="every-update", metric_mode="none")
         for (k_a, s_a), (k_b, s_b) in zip(
                 sorted((k, s) for _, _, k, s in em.snapshots),
                 sorted((k, s) for _, _, k, s in online.snapshots)):
@@ -113,8 +114,8 @@ class TestOnlineEm:
 
     def test_zero_step_freezes_after_init(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_online_em(model, data, s0, MinibatchSampler(4, seed=1),
-                              StepSchedule.constant(0.0), 10,
+        trace = run_algorithm("online-em", model, data, s0, MinibatchSampler(4, seed=1),
+                              StepSchedule.constant(0.0), k_max=10,
                               snapshot_mode="every-update", metric_mode="none")
         states = [s for _, _, k, s in trace.snapshots if k >= 0]
         for s in states[1:]:
@@ -132,8 +133,8 @@ class TestOnlineEm:
 
     def test_counters(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_online_em(model, data, s0, MinibatchSampler(4, seed=1),
-                              StepSchedule.constant(0.05), 17)
+        trace = run_algorithm("online-em", model, data, s0, MinibatchSampler(4, seed=1),
+                              StepSchedule.constant(0.05), k_max=17)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "online-em", data.n, b=4, k_max=17)
 
@@ -153,11 +154,11 @@ class TestIem:
 
     def test_full_batch_refresh_equals_em(self):
         model, data, s0 = overlapping_scalar()
-        em = run_em(model, data, s0, 10, snapshot_mode="every-update",
-                    metric_mode="none")
+        em = run_algorithm("em", model, data, s0, k_max=10, snapshot_mode="every-update",
+                           metric_mode="none")
         sampler = MinibatchSampler(data.n, seed=0, mode=WITHOUT_REPLACEMENT)
-        iem = run_iem(model, data, s0, sampler, StepSchedule.constant(1.0), 10,
-                      snapshot_mode="every-update", metric_mode="none")
+        iem = run_algorithm("iem", model, data, s0, sampler, k_max=10,
+                            snapshot_mode="every-update", metric_mode="none")
         em_map = {k: s for _, _, k, s in em.snapshots}
         iem_map = {k: s for _, _, k, s in iem.snapshots}
         for k in range(1, 11):
@@ -169,8 +170,8 @@ class TestIem:
         model = ScalarTwoGmm.from_data(data)
         s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
         sampler = MinibatchSampler(2, seed=5)
-        trace = run_iem(model, data, s0, sampler, StepSchedule.constant(1.0), 2,
-                        snapshot_mode="every-update", metric_mode="none")
+        trace = run_algorithm("iem", model, data, s0, sampler, k_max=2,
+                              snapshot_mode="every-update", metric_mode="none")
         # independent replay with scipy densities and explicit bookkeeping
         replay = MinibatchSampler(2, seed=5)
         mu = scalar_mstep_oracle(s0)
@@ -185,7 +186,7 @@ class TestIem:
 
     def test_counters(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_iem(model, data, s0, MinibatchSampler(3, seed=2), None, 9)
+        trace = run_algorithm("iem", model, data, s0, MinibatchSampler(3, seed=2), k_max=9)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "iem", data.n, b=3, k_max=9)
 
@@ -215,9 +216,9 @@ class TestFiem:
 
     def test_zero_step_freezes_statistics(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_fiem(model, data, s0, MinibatchSampler(4, seed=1),
-                         MinibatchSampler(4, seed=2), StepSchedule.constant(0.0), 8,
-                         snapshot_mode="every-update", metric_mode="none")
+        trace = run_algorithm("fiem", model, data, s0, MinibatchSampler(4, seed=1),
+                              StepSchedule.constant(0.0), lambda tag: 2, k_max=8,
+                              snapshot_mode="every-update", metric_mode="none")
         states = [s for _, _, k, s in trace.snapshots if k >= 0]
         for s in states[1:]:
             assert np.array_equal(s, states[0])
@@ -230,9 +231,9 @@ class TestFiem:
         model = ScalarTwoGmm.from_data(data)
         s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
         gamma = 0.5
-        trace = run_fiem(model, data, s0, MinibatchSampler(2, seed=5),
-                         MinibatchSampler(2, seed=9), StepSchedule.constant(gamma), 2,
-                         metric_mode="none")
+        trace = run_algorithm("fiem", model, data, s0, MinibatchSampler(2, seed=5),
+                              StepSchedule.constant(gamma), lambda tag: 9, k_max=2,
+                              metric_mode="none")
         replay_a = MinibatchSampler(2, seed=5)
         replay_b = MinibatchSampler(2, seed=9)
         mu = scalar_mstep_oracle(s0)
@@ -250,8 +251,8 @@ class TestFiem:
 
     def test_counters(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_fiem(model, data, s0, MinibatchSampler(3, seed=2),
-                         MinibatchSampler(3, seed=4), StepSchedule.constant(0.1), 7)
+        trace = run_algorithm("fiem", model, data, s0, MinibatchSampler(3, seed=2),
+                              StepSchedule.constant(0.1), lambda tag: 4, k_max=7)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "fiem", data.n, b=3, k_max=7)
 
@@ -329,12 +330,12 @@ class TestSemVr:
         # applications of the exact EM map, starting from zero at (1, 0);
         # the EM trace's iterate k carries k + 1 of them
         model, data, s0 = overlapping_scalar()
-        em = run_em(model, data, s0, 20, snapshot_mode="every-update",
-                    metric_mode="none")
-        sampler = MinibatchSampler(data.n, seed=0, mode=WITHOUT_REPLACEMENT)
-        semvr = run_sem_vr(model, data, s0, sampler, StepSchedule.constant(1.0),
-                           k_out=4, k_in=5, snapshot_mode="every-update",
+        em = run_algorithm("em", model, data, s0, k_max=20, snapshot_mode="every-update",
                            metric_mode="none")
+        sampler = MinibatchSampler(data.n, seed=0, mode=WITHOUT_REPLACEMENT)
+        semvr = run_algorithm("sem-vr", model, data, s0, sampler,
+                              StepSchedule.constant(1.0), k_out=4, k_in=5,
+                              snapshot_mode="every-update", metric_mode="none")
         em_map = {k: s for _, _, k, s in em.snapshots if k >= 0}
         for _, t, k, s in semvr.snapshots:
             if k < 0:
@@ -349,9 +350,9 @@ class TestSemVr:
         model = ScalarTwoGmm.from_data(data)
         s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
         gamma = 0.4
-        trace = run_sem_vr(model, data, s0, MinibatchSampler(2, seed=8),
-                           StepSchedule.constant(gamma), k_out=2, k_in=3,
-                           metric_mode="none")
+        trace = run_algorithm("sem-vr", model, data, s0, MinibatchSampler(2, seed=8),
+                              StepSchedule.constant(gamma), k_out=2, k_in=3,
+                              metric_mode="none")
         replay = MinibatchSampler(2, seed=8)
         shat = s0.copy()
         mu_anchor = scalar_mstep_oracle(s0)
@@ -369,16 +370,16 @@ class TestSemVr:
 
     def test_counters(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_sem_vr(model, data, s0, MinibatchSampler(3, seed=2),
-                           StepSchedule.constant(0.1), k_out=4, k_in=6)
+        trace = run_algorithm("sem-vr", model, data, s0, MinibatchSampler(3, seed=2),
+                              StepSchedule.constant(0.1), k_out=4, k_in=6)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "sem-vr", data.n, b=3, k_in=6, k_out=4)
 
     def test_k_in_validation(self):
         model, data, s0 = overlapping_scalar()
         with pytest.raises(ValueError):
-            run_sem_vr(model, data, s0, MinibatchSampler(3, seed=2),
-                       StepSchedule.constant(0.1), k_out=1, k_in=1)
+            run_algorithm("sem-vr", model, data, s0, MinibatchSampler(3, seed=2),
+                          StepSchedule.constant(0.1), k_out=1, k_in=1)
 
 
 class TestSpiderEm:
@@ -387,12 +388,12 @@ class TestSpiderEm:
         # estimate always equals the refit average of the previous iterate
         # and every update is an EM update
         model, data, s0 = overlapping_scalar()
-        em = run_em(model, data, s0, 20, snapshot_mode="every-update",
-                    metric_mode="none")
+        em = run_algorithm("em", model, data, s0, k_max=20, snapshot_mode="every-update",
+                           metric_mode="none")
         sampler = MinibatchSampler(data.n, seed=0, mode=WITHOUT_REPLACEMENT)
-        spider = run_spider_em(model, data, s0, sampler, StepSchedule.constant(1.0),
-                               k_out=4, k_in=5, snapshot_mode="every-update",
-                               metric_mode="none")
+        spider = run_algorithm("spider-em", model, data, s0, sampler,
+                               StepSchedule.constant(1.0), k_out=4, k_in=5,
+                               snapshot_mode="every-update", metric_mode="none")
         em_map = {k: s for _, _, k, s in em.snapshots if k >= 0}
         for _, t, k, s in spider.snapshots:
             if k < 0:
@@ -404,10 +405,10 @@ class TestSpiderEm:
     def test_trajectory_equals_cv_form(self):
         model, data, s0 = overlapping_scalar()
         kw = dict(snapshot_mode="every-update", metric_mode="none")
-        a = run_spider_em(model, data, s0, MinibatchSampler(4, seed=21),
-                          StepSchedule.constant(0.3), 4, 6, **kw)
-        b = run_spider_em_cv(model, data, s0, MinibatchSampler(4, seed=21),
-                             StepSchedule.constant(0.3), 4, 6, **kw)
+        a = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=21),
+                          StepSchedule.constant(0.3), k_out=4, k_in=6, **kw)
+        b = run_algorithm("spider-em-cv", model, data, s0, MinibatchSampler(4, seed=21),
+                          StepSchedule.constant(0.3), k_out=4, k_in=6, **kw)
         sa, sb = a.snapshot_map(), b.snapshot_map()
         assert sorted(sa) == sorted(sb)
         worst = max(np.abs(sa[key] - sb[key]).max() for key in sa)
@@ -438,7 +439,7 @@ class TestSpiderEm:
         model = ScalarTwoGmm.from_data(data)
         s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
         gamma = 0.4
-        trace = run_spider_em(model, data, s0, MinibatchSampler(2, seed=8),
+        trace = run_algorithm("spider-em", model, data, s0, MinibatchSampler(2, seed=8),
                               StepSchedule.constant(gamma), k_out=2, k_in=3,
                               metric_mode="none")
         replay = MinibatchSampler(2, seed=8)
@@ -460,7 +461,7 @@ class TestSpiderEm:
 
     def test_counters(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_spider_em(model, data, s0, MinibatchSampler(3, seed=2),
+        trace = run_algorithm("spider-em", model, data, s0, MinibatchSampler(3, seed=2),
                               StepSchedule.constant(0.1), k_out=4, k_in=6)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "spider-em", data.n, b=3, k_in=6, k_out=4)
@@ -478,8 +479,8 @@ class TestSpiderEmCv:
 
     def test_degenerate_inner_length(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_spider_em_cv(model, data, s0, MinibatchSampler(3, seed=2),
-                                 StepSchedule.constant(0.1), k_out=3, k_in=2)
+        trace = run_algorithm("spider-em-cv", model, data, s0, MinibatchSampler(3, seed=2),
+                              StepSchedule.constant(0.1), k_out=3, k_in=2)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
             "spider-em-cv", data.n, b=3, k_in=2, k_out=3)
         # one inner update plus one refresh update per outer loop
@@ -500,10 +501,11 @@ class TestSpiderEmPl:
     def test_forced_full_length_matches_plain_inner_loops(self):
         model, data, s0 = overlapping_scalar()
         kw = dict(snapshot_mode="every-update", metric_mode="none")
-        spider = run_spider_em(model, data, s0, MinibatchSampler(4, seed=31),
-                               StepSchedule.constant(0.3), 2, 5, **kw)
-        pl = run_spider_em_pl(model, data, s0, MinibatchSampler(4, seed=31),
-                              StepSchedule.constant(0.3), 2, 5, _ForcedRng(4), **kw)
+        spider = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=31),
+                               StepSchedule.constant(0.3), k_out=2, k_in=5, **kw)
+        est = ESTIMATORS["spider-em-pl"](model, data, MinibatchSampler(4, seed=31),
+                                         _ForcedRng(4))
+        pl = _run(est, s0, StepSchedule.constant(0.3), kw, k_in=5, k_out=2)
         sp, pp = spider.snapshot_map(), pl.snapshot_map()
         # identical inner iterates through the whole first outer loop
         for k in range(5):
@@ -515,10 +517,9 @@ class TestSpiderEmPl:
 
     def test_counters_per_outer_loop(self):
         model, data, s0 = overlapping_scalar()
-        rng = np.random.default_rng(7)
-        trace = run_spider_em_pl(model, data, s0, MinibatchSampler(4, seed=3),
-                                 StepSchedule.constant(0.2), 6, 5, rng,
-                                 metric_mode="none")
+        trace = run_algorithm("spider-em-pl", model, data, s0, MinibatchSampler(4, seed=3),
+                              StepSchedule.constant(0.2), lambda tag: 7, k_out=6, k_in=5,
+                              metric_mode="none")
         assert len(trace.xi) == 6
         assert all(1 <= xi <= 4 for xi in trace.xi)
         assert (trace.counters.ce, trace.counters.mstep) == expected_totals(
@@ -526,13 +527,13 @@ class TestSpiderEmPl:
 
     def test_objective_gap_decays_geometrically(self):
         model, data, s0 = separated_scalar(n=200, seed=13)
-        w_star = run_em(model, data, s0, 300, metric_mode="none")
+        w_star = run_algorithm("em", model, data, s0, k_max=300, metric_mode="none")
         from emvr import objective
         w_min = objective(model, data, w_star.s_final)
-        rng = np.random.default_rng(5)
-        trace = run_spider_em_pl(model, data, s0, MinibatchSampler(10, seed=17),
-                                 StepSchedule.constant(0.3), 12, 21, rng,
-                                 snapshot_mode="every-update", metric_mode="none")
+        trace = run_algorithm("spider-em-pl", model, data, s0,
+                              MinibatchSampler(10, seed=17), StepSchedule.constant(0.3),
+                              lambda tag: 5, k_out=12, k_in=21,
+                              snapshot_mode="every-update", metric_mode="none")
         snaps = trace.snapshot_map()
         gaps = [objective(model, data, snaps[(t, 0)]) - w_min
                 for t in range(1, 13) if (t, 0) in snaps]
@@ -544,8 +545,8 @@ class TestHybridWarmStart:
     def test_zero_epochs_is_identity(self):
         model, data, s0 = overlapping_scalar()
         gamma = StepSchedule.constant(0.2)
-        direct = run_spider_em(model, data, s0, MinibatchSampler(4, seed=9), gamma,
-                               2, 4, metric_mode="none")
+        direct = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=9),
+                               gamma, k_out=2, k_in=4, metric_mode="none")
         hybrid = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=9),
                                gamma, None, k_in=4, k_out=2, warm_epochs=0,
                                metric_mode="none")
@@ -592,8 +593,8 @@ class TestRandomizedTermination:
 
     def test_uniformity_chi_squared(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_spider_em(model, data, s0, MinibatchSampler(4, seed=5),
-                              StepSchedule.constant(0.2), 3, 4,
+        trace = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=5),
+                              StepSchedule.constant(0.2), k_out=3, k_in=4,
                               snapshot_mode="every-update", metric_mode="none")
         rng = np.random.default_rng(123)
         counts = {}
@@ -613,8 +614,8 @@ class TestRandomizedTermination:
         # of the squared mean field at the returned iterates must equal the
         # direct average over the lagged snapshots, cell for cell
         model, data, s0 = overlapping_scalar()
-        trace = run_spider_em(model, data, s0, MinibatchSampler(4, seed=5),
-                              StepSchedule.constant(0.2), 3, 4,
+        trace = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=5),
+                              StepSchedule.constant(0.2), k_out=3, k_in=4,
                               snapshot_mode="every-update", metric_mode="none")
 
         class CellRng:
@@ -639,8 +640,9 @@ class TestRandomizedTermination:
 
     def test_requires_snapshots(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_spider_em(model, data, s0, MinibatchSampler(4, seed=5),
-                              StepSchedule.constant(0.2), 2, 3, metric_mode="none")
+        trace = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=5),
+                              StepSchedule.constant(0.2), k_out=2, k_in=3,
+                              metric_mode="none")
         with pytest.raises(NotImplementedError):
             randomized_terminate(trace, np.random.default_rng(0))
 
@@ -654,22 +656,15 @@ class OracleGuard(ScalarTwoGmm):
     m_step = batch_mean = sbar_rows = store_rows = checkpoint_stats = _called
 
 
-def every_run(model, data, s0):
-    """Each public entry point once, as a function of its recording keywords."""
+def every_run(model, data, s0, **method):
+    """Each registered method once, and a warm start, as a function of the
+    recording keywords."""
     smp, gamma = MinibatchSampler(4, seed=1), StepSchedule.constant(0.2)
-    return [
-        partial(run_em, model, data, s0, 3),
-        partial(run_online_em, model, data, s0, smp, gamma, 3),
-        partial(run_iem, model, data, s0, smp, None, 3),
-        partial(run_fiem, model, data, s0, smp, MinibatchSampler(4, seed=2), gamma, 3),
-        partial(run_sem_vr, model, data, s0, smp, gamma, 2, 3),
-        partial(run_spider_em, model, data, s0, smp, gamma, 2, 3),
-        partial(run_spider_em_cv, model, data, s0, smp, gamma, 2, 3),
-        partial(run_spider_em_pl, model, data, s0, smp, gamma, 2, 3,
-                np.random.default_rng(0)),
-        partial(run_algorithm, "spider-em", model, data, s0, smp, gamma, None, k_in=3,
-                k_out=2, warm_epochs=1),
-    ]
+    lengths = dict(k_max=3, k_in=3, k_out=2)
+    runs = [partial(run_algorithm, name, model, data, s0, smp, gamma, lambda tag: tag,
+                    **lengths, **method) for name in ESTIMATORS]
+    return runs + [partial(run_algorithm, "spider-em", model, data, s0, smp, gamma,
+                           **lengths, warm_epochs=1)]
 
 
 class TestRecordingKeywords:
@@ -684,11 +679,22 @@ class TestRecordingKeywords:
             with pytest.raises(error):
                 run(**record)
 
-    def test_method_arguments_are_not_recording_keywords(self):
-        _, data, s0 = overlapping_scalar()
-        for extra in (dict(warm_epochs=1), dict(k_in=3), dict(outer_gamma=0.5)):
-            with pytest.raises(TypeError):
-                run_em(OracleGuard(), data, s0, 3, **extra)
+    def test_method_arguments_are_not_recording_keywords(self, monkeypatch):
+        seen = []
+
+        class Spy(algorithms._Recorder):
+            def __init__(self, *args, **record):
+                seen.append(sorted(record))
+                super().__init__(*args, **record)
+
+        monkeypatch.setattr(algorithms, "_Recorder", Spy)
+        model, data, s0 = overlapping_scalar()
+        with pytest.raises(TypeError):
+            run_algorithm("em", OracleGuard(), data, s0, k_max=3, bogus=1)
+        for run in every_run(model, data, s0, outer_gamma=0.5, warm_epochs=1):
+            assert run(metric_mode="none").status == "completed"
+        # k_max, k_in, k_out, outer_gamma and warm_epochs stay with the method
+        assert seen == [["bogus"]] + [["metric_mode"]] * (len(ESTIMATORS) + 1)
 
 
 class TestMissingSampler:
@@ -704,13 +710,40 @@ class TestMissingSampler:
                              k_max=3)),
             ("spider-em", partial(run_algorithm, "spider-em", model, data, s0, None, gamma,
                                   None, k_in=3, k_out=2)),
-            ("online-em", partial(run_online_em, model, data, s0, None, gamma, 3)),
         ]
         for name, run in runs:
             with pytest.raises(ValueError, match=f"^{name} needs a minibatch sampler"):
                 run()
-        with pytest.raises(ValueError, match="^fiem needs a second minibatch sampler, got None"):
-            run_fiem(model, data, s0, MinibatchSampler(4, 1), None, gamma, 3)
+
+    def test_missing_schedule_or_seeds_rejected_before_any_oracle_call(self):
+        _, data, s0 = overlapping_scalar()
+        model, smp = OracleGuard(), MinibatchSampler(4, 1)
+        lengths = dict(k_max=3, k_in=3, k_out=2)
+        for name in [name for name, est in ESTIMATORS.items() if not est.unit_step]:
+            with pytest.raises(ValueError, match=f"^{name} needs a step schedule, got None$"):
+                run_algorithm(name, model, data, s0, smp, None, lambda tag: tag, **lengths)
+        # EM runs at step 1, but its warm phase needs the schedule
+        with pytest.raises(ValueError, match="^online-em needs a step schedule, got None$"):
+            run_algorithm("em", model, data, s0, smp, k_max=3, warm_epochs=1)
+        for name in ("fiem", "spider-em-pl"):
+            with pytest.raises(ValueError, match=f"^{name} needs a seed stream, got None$"):
+                run_algorithm(name, model, data, s0, smp, StepSchedule.constant(0.2),
+                              **lengths)
+
+    def test_unknown_method_lists_the_registry(self):
+        _, data, s0 = overlapping_scalar()
+        registered = re.escape(", ".join(ESTIMATORS))
+        with pytest.raises(ValueError, match=f"^unknown method 'bogus'; registered: "
+                                             f"{registered}$"):
+            run_algorithm("bogus", OracleGuard(), data, s0, k_max=3)
+
+    def test_unit_step_methods_ignore_the_schedule(self):
+        model, data, s0 = overlapping_scalar()
+        for name in ("em", "iem"):
+            a, b = (run_algorithm(name, model, data, s0, MinibatchSampler(3, seed=2), sched,
+                                  k_max=5, metric_mode="none")
+                    for sched in (None, StepSchedule.constant(0.5)))
+            assert a.s_final.tobytes() == b.s_final.tobytes()
 
 
 class TestDeterminismAndDivergence:
@@ -718,8 +751,8 @@ class TestDeterminismAndDivergence:
         model, data, s0 = overlapping_scalar()
 
         def go():
-            return run_spider_em(model, data, s0, MinibatchSampler(4, seed=77),
-                                 StepSchedule.constant(0.2), 3, 5,
+            return run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=77),
+                                 StepSchedule.constant(0.2), k_out=3, k_in=5,
                                  snapshot_mode="every-update")
 
         a, b = go(), go()
@@ -731,14 +764,15 @@ class TestDeterminismAndDivergence:
 
     def test_oversized_step_marks_divergence(self):
         model, data, s0 = overlapping_scalar()
-        trace = run_online_em(model, data, s0, MinibatchSampler(2, seed=0),
-                              StepSchedule.constant(25.0), 400, metric_mode="none")
+        trace = run_algorithm("online-em", model, data, s0, MinibatchSampler(2, seed=0),
+                              StepSchedule.constant(25.0), k_max=400, metric_mode="none")
         assert trace.status == "diverged"
         assert trace.diverged_at is not None
 
     def test_epsilon_stops_run(self):
         model, data, s0 = separated_scalar()
-        trace = run_em(model, data, s0, 500, metric_mode="update", epsilon=1e-9)
+        trace = run_algorithm("em", model, data, s0, k_max=500, metric_mode="update",
+                              epsilon=1e-9)
         assert trace.status == "hit-eps"
         assert trace.hit is not None
         assert trace.final_record().h_sq <= 1e-9
@@ -751,6 +785,7 @@ class TestDeterminismAndDivergence:
             seen.append((t, k))
             return len(seen) < 3
 
-        trace = run_em(model, data, s0, 50, metric_mode="update", callback=cb)
+        trace = run_algorithm("em", model, data, s0, k_max=50, metric_mode="update",
+                              callback=cb)
         assert trace.status == "stopped"
         assert len(seen) == 3

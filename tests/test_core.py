@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from emvr import (Dataset, DomainError, GmmParams, OracleCounters, PerSampleStatStore,
                   PooledGmm, ScalarTwoGmmParams, fd_natural_jacobian,
                   fd_objective_gradient, full_stats, mean_field, minibatch_stats,
-                  mstep, objective, run_em)
+                  mstep, objective, run_algorithm)
 
 from conftest import LocationToy
 
@@ -168,7 +168,8 @@ class TestMeanFieldAndObjective:
 
     def test_mean_field_near_zero_at_em_fixed_point(self, scalar_model, scalar_data):
         s = full_stats(scalar_model, scalar_data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
-        trace = run_em(scalar_model, scalar_data, s, 400, metric_mode="none")
+        trace = run_algorithm("em", scalar_model, scalar_data, s, k_max=400,
+                              metric_mode="none")
         h = mean_field(scalar_model, scalar_data, trace.s_final)
         assert np.linalg.norm(h) <= 1e-8
 
@@ -179,7 +180,8 @@ class TestMeanFieldAndObjective:
 
     def test_em_monotone_objective(self, scalar_model, scalar_data):
         s = full_stats(scalar_model, scalar_data, ScalarTwoGmmParams(mu=np.array([1.3, -1.6])))
-        trace = run_em(scalar_model, scalar_data, s, 50, metric_mode="update")
+        trace = run_algorithm("em", scalar_model, scalar_data, s, k_max=50,
+                              metric_mode="update")
         w = trace.column("objective")
         assert (np.diff(w) <= 1e-10).all()
 
@@ -243,10 +245,11 @@ class TestFiniteDifferences:
     def test_refit_is_stationary_in_parameter_space(self, scalar_model, scalar_data):
         # at a mean-field root the fitted parameters are a stationary point
         # of the observed objective itself, checked by central differences
-        from emvr import ScalarTwoGmmParams, full_stats, run_em
+        from emvr import ScalarTwoGmmParams, full_stats, run_algorithm
         s0 = full_stats(scalar_model, scalar_data,
                         ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
-        s_star = run_em(scalar_model, scalar_data, s0, 500, metric_mode="none").s_final
+        s_star = run_algorithm("em", scalar_model, scalar_data, s0, k_max=500,
+                               metric_mode="none").s_final
         mu_star = scalar_model.m_step(s_star).mu
         h = 1e-5
         grad = np.zeros(2)

@@ -48,13 +48,14 @@ class TestMultivariateGenerator:
             assert abs(np.linalg.norm(center) - 7.0) <= 0.5
 
     def test_zero_separation_collapses_to_single_gaussian(self):
-        from emvr import PooledGmm, run_em
+        from emvr import PooledGmm, run_algorithm
         from emvr.gmm import init_random_responsibility
         data = gen_multivariate_mixture(2000, 3, 4, 0.0, seed=5)
         multi = PooledGmm.from_data(3, data)
         single = PooledGmm.from_data(1, data)
-        s_multi = run_em(multi, data, init_random_responsibility(multi, data, 0),
-                         80, metric_mode="none").s_final
+        s_multi = run_algorithm("em", multi, data,
+                                init_random_responsibility(multi, data, 0), k_max=80,
+                                metric_mode="none").s_final
         mean = data.values.mean(axis=0)
         nll_multi = multi.penalized_nll(data, multi.m_step(s_multi))
         nll_single = single.penalized_nll(data, single.m_step(np.concatenate([[1.0], mean])))

@@ -9,7 +9,7 @@ from scipy.stats import multivariate_normal, norm
 
 from emvr import (Dataset, DomainError, GmmParams, PooledGmm, ScalarTwoGmm,
                   ScalarTwoGmmParams, full_stats, load_params, mean_field,
-                  run_em, save_params, scalar2_m_step)
+                  run_algorithm, save_params, scalar2_m_step)
 from emvr import gmm
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.gmm import (_logistic, gmm_log_partition, gmm_m_step, gmm_phi,
@@ -175,6 +175,7 @@ class TestMStep:
     @pytest.mark.parametrize("s, p", [
         ([1e-11, 1.0 - 1e-11, 1e300, 0.0], 1),             # a mean overflows in the divide
         ([0.5, 0.5, 1e200, 1e200, -1e200, 1e200], 2),     # mu mu^T overflows in the matmul
+        ([1e308, 1e308, 0.0, 0.0], 1),                    # the mass sum overflows
     ])
     def test_overflow_is_a_domain_error_without_warning(self, s, p):
         with warnings.catch_warnings():
@@ -550,7 +551,7 @@ class TestInitializers:
         data = gen_multivariate_mixture(400, 3, 2, 8.0, seed=1)
         model = PooledGmm.from_data(3, data)
         s = init_kmeans(model, data, seed=0)
-        trace = run_em(model, data, s, 60, metric_mode="none")
+        trace = run_algorithm("em", model, data, s, k_max=60, metric_mode="none")
         h = mean_field(model, data, trace.s_final)
         assert np.linalg.norm(h) <= 1e-8
 

@@ -25,9 +25,7 @@ import numpy as np
 import pytest
 
 from emvr import (MinibatchSampler, ScalarTwoGmm, ScalarTwoGmmParams,
-                  StepSchedule, full_stats, run_algorithm, run_em, run_fiem,
-                  run_iem, run_online_em, run_sem_vr, run_spider_em,
-                  run_spider_em_cv, run_spider_em_pl)
+                  StepSchedule, full_stats, run_algorithm)
 from emvr.data import gen_scalar_mixture
 from emvr.harness import (ExperimentConfig, build_dataset, build_model,
                           initial_stats, run_experiment, run_single)
@@ -75,59 +73,67 @@ def _gamma(g):
 
 
 CASES = {
-    "em": lambda m, d, s: run_em(m, d, s, 6, **EVERY),
-    "online-em": lambda m, d, s: run_online_em(m, d, s, _smp(1), _gamma(0.3), 20,
-                                               **EVERY),
-    "online-em-inverse-sqrt": lambda m, d, s: run_online_em(
-        m, d, s, _smp(1, b=7), StepSchedule.inverse_sqrt(0.5), 13, **UPDATE),
-    "iem": lambda m, d, s: run_iem(m, d, s, _smp(2), None, 20, **EVERY),
-    "fiem": lambda m, d, s: run_fiem(m, d, s, _smp(3), _smp(103), _gamma(0.2), 20,
-                                     **EVERY),
-    "sem-vr": lambda m, d, s: run_sem_vr(m, d, s, _smp(4), _gamma(0.2), 3, 5,
-                                         **EVERY),
-    "sem-vr-outer-gamma": lambda m, d, s: run_sem_vr(
-        m, d, s, _smp(4), _gamma(0.2), 3, 5, outer_gamma=0.5, **UPDATE),
-    "spider-em": lambda m, d, s: run_spider_em(m, d, s, _smp(5), _gamma(0.2), 3, 5,
-                                               **EVERY),
-    "spider-em-callback": lambda m, d, s: _with_callback(lambda cb: run_spider_em(
-        m, d, s, _smp(5), _gamma(0.2), 2, 4, callback=cb, **UPDATE)),
-    "spider-em-cv": lambda m, d, s: run_spider_em_cv(m, d, s, _smp(5), _gamma(0.2),
-                                                     3, 5, **EVERY),
-    "spider-em-pl": lambda m, d, s: run_spider_em_pl(
-        m, d, s, _smp(6), _gamma(0.2), 4, 6, np.random.default_rng(6), **EVERY),
+    "em": lambda m, d, s: run_algorithm("em", m, d, s, k_max=6, **EVERY),
+    "online-em": lambda m, d, s: run_algorithm("online-em", m, d, s, _smp(1), _gamma(0.3),
+                                               k_max=20, **EVERY),
+    "online-em-inverse-sqrt": lambda m, d, s: run_algorithm(
+        "online-em", m, d, s, _smp(1, b=7), StepSchedule.inverse_sqrt(0.5), k_max=13,
+        **UPDATE),
+    "iem": lambda m, d, s: run_algorithm("iem", m, d, s, _smp(2), k_max=20, **EVERY),
+    "fiem": lambda m, d, s: run_algorithm("fiem", m, d, s, _smp(3), _gamma(0.2),
+                                          lambda tag: 103, k_max=20, **EVERY),
+    "sem-vr": lambda m, d, s: run_algorithm("sem-vr", m, d, s, _smp(4), _gamma(0.2),
+                                            k_out=3, k_in=5, **EVERY),
+    "sem-vr-outer-gamma": lambda m, d, s: run_algorithm("sem-vr", m, d, s, _smp(4),
+                                                        _gamma(0.2), k_out=3, k_in=5,
+                                                        outer_gamma=0.5, **UPDATE),
+    "spider-em": lambda m, d, s: run_algorithm("spider-em", m, d, s, _smp(5), _gamma(0.2),
+                                               k_out=3, k_in=5, **EVERY),
+    "spider-em-callback": lambda m, d, s: _with_callback(lambda cb: run_algorithm(
+        "spider-em", m, d, s, _smp(5), _gamma(0.2), k_out=2, k_in=4, callback=cb, **UPDATE)),
+    "spider-em-cv": lambda m, d, s: run_algorithm("spider-em-cv", m, d, s, _smp(5),
+                                                  _gamma(0.2), k_out=3, k_in=5, **EVERY),
+    "spider-em-pl": lambda m, d, s: run_algorithm("spider-em-pl", m, d, s, _smp(6),
+                                                  _gamma(0.2), lambda tag: 6, k_out=4,
+                                                  k_in=6, **EVERY),
     # at a step near 1 a direction's last bits reach the iterate, so these
     # pin each corrected method's float order
-    "fiem-large-step": lambda m, d, s: run_fiem(m, d, s, _smp(3), _smp(103), _gamma(0.9),
-                                                20, **EVERY),
-    "sem-vr-large-step": lambda m, d, s: run_sem_vr(m, d, s, _smp(4), _gamma(0.9), 3, 5,
-                                                    **EVERY),
-    "spider-em-large-step": lambda m, d, s: run_spider_em(m, d, s, _smp(5), _gamma(0.9),
-                                                          3, 5, **EVERY),
-    "spider-em-cv-large-step": lambda m, d, s: run_spider_em_cv(
-        m, d, s, _smp(5), _gamma(0.9), 3, 5, **EVERY),
+    "fiem-large-step": lambda m, d, s: run_algorithm("fiem", m, d, s, _smp(3), _gamma(0.9),
+                                                     lambda tag: 103, k_max=20, **EVERY),
+    "sem-vr-large-step": lambda m, d, s: run_algorithm("sem-vr", m, d, s, _smp(4),
+                                                       _gamma(0.9), k_out=3, k_in=5,
+                                                       **EVERY),
+    "spider-em-large-step": lambda m, d, s: run_algorithm(
+        "spider-em", m, d, s, _smp(5), _gamma(0.9), k_out=3, k_in=5, **EVERY),
+    "spider-em-cv-large-step": lambda m, d, s: run_algorithm(
+        "spider-em-cv", m, d, s, _smp(5), _gamma(0.9), k_out=3, k_in=5, **EVERY),
     # epsilon hits in update mode, after at least one refresh
-    "spider-em-hit": lambda m, d, s: run_spider_em(
-        m, d, s, _smp(7), _gamma(0.2), 20, 5, epsilon=1e-6, **UPDATE),
-    "spider-em-pl-hit": lambda m, d, s: run_spider_em_pl(
-        m, d, s, _smp(7), _gamma(0.2), 40, 5, np.random.default_rng(7),
-        epsilon=1e-5, **UPDATE),
+    "spider-em-hit": lambda m, d, s: run_algorithm("spider-em", m, d, s, _smp(7),
+                                                   _gamma(0.2), k_out=20, k_in=5,
+                                                   epsilon=1e-6, **UPDATE),
+    "spider-em-pl-hit": lambda m, d, s: run_algorithm("spider-em-pl", m, d, s, _smp(7),
+                                                      _gamma(0.2), lambda tag: 7, k_out=40,
+                                                      k_in=5, epsilon=1e-5, **UPDATE),
     # divergences: a flat run, inside an inner loop (both found by the next
     # M-step, metrics off), at a damped outer refresh and at a restart
-    "online-em-diverged": lambda m, d, s: run_online_em(
-        m, d, s, _smp(0, b=2), _gamma(25.0), 400, metric_mode="none", **EVERY),
-    "spider-em-diverged-inner": lambda m, d, s: run_spider_em(
-        m, d, s, _smp(8), _gamma(4.0), 3, 6, metric_mode="none", **EVERY),
-    "spider-em-pl-diverged": lambda m, d, s: run_spider_em_pl(
-        m, d, s, _smp(8), _gamma(4.0), 3, 6, np.random.default_rng(8),
-        metric_mode="none", **EVERY),
-    "spider-em-pl-diverged-restart": lambda m, d, s: run_spider_em_pl(
-        m, d, s, _smp(2), _gamma(2.5), 3, 4, np.random.default_rng(2),
-        metric_mode="none", **EVERY),
-    "sem-vr-diverged-refresh": lambda m, d, s: run_sem_vr(
-        m, d, s, _smp(9), _gamma(0.05), 3, 4, outer_gamma=40.0, **EVERY),
-    "sem-vr-diverged-refresh-quiet": lambda m, d, s: run_sem_vr(
-        m, d, s, _smp(9), _gamma(0.05), 3, 4, outer_gamma=40.0, metric_mode="none",
+    "online-em-diverged": lambda m, d, s: run_algorithm("online-em", m, d, s, _smp(0, b=2),
+                                                        _gamma(25.0), k_max=400,
+                                                        metric_mode="none", **EVERY),
+    "spider-em-diverged-inner": lambda m, d, s: run_algorithm(
+        "spider-em", m, d, s, _smp(8), _gamma(4.0), k_out=3, k_in=6, metric_mode="none",
         **EVERY),
+    "spider-em-pl-diverged": lambda m, d, s: run_algorithm(
+        "spider-em-pl", m, d, s, _smp(8), _gamma(4.0), lambda tag: 8, k_out=3, k_in=6,
+        metric_mode="none", **EVERY),
+    "spider-em-pl-diverged-restart": lambda m, d, s: run_algorithm(
+        "spider-em-pl", m, d, s, _smp(2), _gamma(2.5), lambda tag: 2, k_out=3, k_in=4,
+        metric_mode="none", **EVERY),
+    "sem-vr-diverged-refresh": lambda m, d, s: run_algorithm(
+        "sem-vr", m, d, s, _smp(9), _gamma(0.05), k_out=3, k_in=4, outer_gamma=40.0,
+        **EVERY),
+    "sem-vr-diverged-refresh-quiet": lambda m, d, s: run_algorithm(
+        "sem-vr", m, d, s, _smp(9), _gamma(0.05), k_out=3, k_in=4, outer_gamma=40.0,
+        metric_mode="none", **EVERY),
     # warm starts through the harness; b = 4 and b = 7 do not divide n = 30
     "warm-fiem": lambda m, d, s: _harness("fiem"),
     "warm-sem-vr": lambda m, d, s: _harness("sem-vr", metric="update"),

@@ -116,6 +116,9 @@ outer_gamma = 0.75
         # an unknown snapshot mode is a config error, not a traceback mid-run
         with pytest.raises(ConfigError, match=r"\[run\] snapshot"):
             parse_config("[run]\nsnapshot = bogus\nalgorithms = em\nk_max = 3\n")
+        # an unknown step kind is a config error even where every method steps at 1
+        with pytest.raises(ConfigError, match=r"\[steps\] unknown kind 'bogus'"):
+            parse_config("[run]\nalgorithms = em\nk_max = 3\n[steps]\nkind = bogus\n")
         # a warm start longer than the epoch budget leaves the method no updates
         with pytest.raises(ConfigError, match=r"\[run\] warm_epochs"):
             parse_config("[run]\nalgorithms = spider-em\nbatch_size = 4\nepochs = 2\n"

@@ -15,8 +15,7 @@ non-conserving one.
 import numpy as np
 import pytest
 
-from emvr import (MinibatchSampler, PooledGmm, StepSchedule, run_fiem,
-                  run_iem, run_online_em, run_sem_vr, run_spider_em)
+from emvr import MinibatchSampler, PooledGmm, StepSchedule, run_algorithm
 from emvr.data import gen_multivariate_mixture
 from emvr.gmm import init_random_responsibility
 
@@ -38,20 +37,19 @@ def _deviations(trace, data, g):
     return dm, dmo
 
 
-def test_mass_sum_conserved_by_every_update(bundle):
+def _runs(bundle, names):
+    """Each method from the bundle's start on the same batch stream (FIEM's
+    second stream seeded 9), snapshotting every update."""
     model, data, s0 = bundle
-    sched = StepSchedule.constant(0.05)
-    kw = dict(snapshot_mode="every-update", metric_mode="none")
-    runs = [
-        run_online_em(model, data, s0, MinibatchSampler(30, 0), sched, 60, **kw),
-        run_iem(model, data, s0, MinibatchSampler(30, 0), None, 60, **kw),
-        run_fiem(model, data, s0, MinibatchSampler(30, 0), MinibatchSampler(30, 9),
-                 sched, 60, **kw),
-        run_sem_vr(model, data, s0, MinibatchSampler(30, 0), sched, 4, 11, **kw),
-        run_spider_em(model, data, s0, MinibatchSampler(30, 0), sched, 4, 11, **kw),
-    ]
-    for trace in runs:
-        dm, _ = _deviations(trace, data, 4)
+    return [run_algorithm(name, model, data, s0, MinibatchSampler(30, 0),
+                          StepSchedule.constant(0.05), lambda tag: 9, k_max=60, k_out=4,
+                          k_in=11, snapshot_mode="every-update", metric_mode="none")
+            for name in names]
+
+
+def test_mass_sum_conserved_by_every_update(bundle):
+    for trace in _runs(bundle, ("online-em", "iem", "fiem", "sem-vr", "spider-em")):
+        dm, _ = _deviations(trace, bundle[1], 4)
         assert dm <= 1e-12, trace.algorithm
 
 
@@ -59,18 +57,8 @@ def test_moment_sum_conserved_by_corrected_updates(bundle):
     # store means, anchor control variates and the path-integrated
     # estimator all add and subtract the same batch, so the moment-block
     # sum never moves when the run starts from an exact statistic average
-    model, data, s0 = bundle
-    sched = StepSchedule.constant(0.05)
-    kw = dict(snapshot_mode="every-update", metric_mode="none")
-    runs = [
-        run_iem(model, data, s0, MinibatchSampler(30, 0), None, 60, **kw),
-        run_fiem(model, data, s0, MinibatchSampler(30, 0), MinibatchSampler(30, 9),
-                 sched, 60, **kw),
-        run_sem_vr(model, data, s0, MinibatchSampler(30, 0), sched, 4, 11, **kw),
-        run_spider_em(model, data, s0, MinibatchSampler(30, 0), sched, 4, 11, **kw),
-    ]
-    for trace in runs:
-        _, dmo = _deviations(trace, data, 4)
+    for trace in _runs(bundle, ("iem", "fiem", "sem-vr", "spider-em")):
+        _, dmo = _deviations(trace, bundle[1], 4)
         assert dmo <= 1e-9, (trace.algorithm, dmo)
 
 
@@ -80,8 +68,8 @@ def test_plain_relaxation_displaces_moment_sum_at_step_scale(bundle):
     # gamma * (batch mean - data mean) cannot stay below 1e-9
     model, data, s0 = bundle
     gamma = 0.05
-    trace = run_online_em(model, data, s0, MinibatchSampler(30, 0),
-                          StepSchedule.constant(gamma), 60,
+    trace = run_algorithm("online-em", model, data, s0, MinibatchSampler(30, 0),
+                          StepSchedule.constant(gamma), k_max=60,
                           snapshot_mode="every-update", metric_mode="none")
     _, dmo = _deviations(trace, data, 4)
     per_coord_sd = data.values.std(axis=0).max()

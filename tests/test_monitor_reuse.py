@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from emvr import (MinibatchSampler, Model, PooledGmm, ScalarTwoGmm,
-                  ScalarTwoGmmParams, StepSchedule, full_stats, run_algorithm,
-                  run_em)
+                  ScalarTwoGmmParams, StepSchedule, full_stats, run_algorithm)
 from emvr.algorithms import ESTIMATORS, _Estimator, _LastPass
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.gmm import init_random_responsibility
@@ -33,11 +32,9 @@ def pooled_case():
 
 def run(name, case, metric_mode, warm):
     model, data, s0 = case()
-    # the warm phase shares the schedule, and unit steps of online EM on
-    # four rows leave the pooled mixture's domain
-    gamma = 1.0 if ESTIMATORS[name].unit_step and not warm else 0.2
+    # EM and iEM step at 1 after the warm phase, which steps at 0.2
     return run_algorithm(name, model, data, s0, MinibatchSampler(B, seed=5),
-                         StepSchedule.constant(gamma),
+                         StepSchedule.constant(0.2),
                          lambda *tags: np.random.SeedSequence([5, *tags]),
                          k_max=K_MAX, k_in=K_IN, k_out=K_OUT, warm_epochs=warm,
                          metric_mode=metric_mode, snapshot_mode="every-update")
@@ -94,7 +91,7 @@ def test_em_computes_each_monitored_refit_once():
     model = NRowSpy()
     s0 = full_stats(model, data, ScalarTwoGmmParams(mu=np.array([1.0, -1.0])))
     model.passes = 0
-    trace = run_em(model, data, s0, 9, metric_mode="epoch")
+    trace = run_algorithm("em", model, data, s0, k_max=9, metric_mode="epoch")
     # the initial refit and ten monitor passes; all nine updates reuse one
     assert (trace.status, trace.monitor.ce) == ("completed", 10 * data.n)
     assert model.passes == 11
