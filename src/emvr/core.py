@@ -15,6 +15,10 @@ repeated runs are deterministic.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,9 +127,6 @@ class Dataset:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     def __repr__(self):
         return f"Dataset(n={self.n}, dim={self.dim}, provenance={self.provenance!r})"
 
@@ -162,8 +163,12 @@ class Model(ABC):
     means on ``data.mean`` first (a row quadratic's mean is a trace with
     ``data.centred_moment``): uncentred, the expanded terms grow with the
     data's offset and cancel.  They are written for one BLAS thread per
-    process (``OPENBLAS_NUM_THREADS=1``): their BLAS calls are small, and
-    waking more threads costs more than it saves.
+    call (``OPENBLAS_NUM_THREADS=1``): their BLAS calls are small, and
+    waking more threads costs more than it saves.  A row-wise pass with at
+    least ``SPLIT_WORK`` entries may run its second half of rows on one
+    helper thread (:func:`_split_point`, :func:`_split_rows`), bitwise the
+    one-thread pass; no smaller pass does, and none in a harness worker
+    process.
     """
 
     @property
@@ -340,3 +345,85 @@ def fd_natural_jacobian(model: Model, s: np.ndarray, step: float = 1e-5):
     denom = np.linalg.norm(jac)
     asym = np.linalg.norm(jac - jac.T) / denom if denom > 0 else 0.0
     return (jac + jac.T) / 2.0, asym
+
+
+# ---------------------------------------------------------------------------
+# the two-part pass
+
+# A row-wise pass over at least this many (component, row) entries runs in two
+# parts, the second on a helper thread; numpy releases the GIL inside each call.
+SPLIT_WORK = 1 << 17
+# The split point is a multiple of this many rows: OpenBLAS's gemm computes a
+# column block that starts there with the bits of the undivided product.
+SPLIT_ROWS = 1024
+
+_split_passes = True    # harness worker processes turn it off: the pool uses the cores
+_helper = None          # (jobs, done) queues of the helper thread, started on first use
+_helper_lock = threading.Lock()
+
+
+def _run_part(ctx, block, lo: int, hi: int):
+    try:
+        ctx.run(block, lo, hi)
+    except BaseException as exc:   # re-raised in the caller
+        return exc
+    return None
+
+
+def _serve(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    # the loop keeps no reference to a finished part and its arrays
+    while True:
+        done.put(_run_part(*jobs.get()))
+
+
+def _forget_helper() -> None:
+    """After a fork: the helper thread is not in the child."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _serial_passes() -> None:
+    """Keep every pass of this process on one thread (a pool worker's initializer)."""
+    global _split_passes
+    _split_passes = False
+
+
+def _split_point(m: int, work: int) -> int:
+    """The row at which a pass over ``m`` rows and ``work`` (component, row)
+    entries splits: half of ``m`` rounded down to ``SPLIT_ROWS`` rows.  0, for a
+    pass that runs whole on the calling thread: one below ``SPLIT_WORK``, one
+    with under ``SPLIT_ROWS`` rows a half, and every pass of a harness worker."""
+    if work < SPLIT_WORK or not _split_passes:
+        return 0
+    return m // 2 // SPLIT_ROWS * SPLIT_ROWS
+
+
+def _split_rows(block, m: int, mid: int) -> None:
+    """Run ``block(lo, hi)`` over the rows ``[0, m)`` as ``block(0, mid)`` here and
+    ``block(mid, m)`` on the helper thread; while another thread splits, as
+    ``block(0, m)`` here.  The helper runs in a copy of the caller's context, so
+    ``np.errstate`` holds in both parts, and its exception is raised here.
+    ``block`` must write only its own rows of arrays the caller made."""
+    global _helper
+    if not _helper_lock.acquire(blocking=False):
+        block(0, m)
+        return
+    try:
+        if _helper is None:
+            queues = (queue.SimpleQueue(), queue.SimpleQueue())
+            threading.Thread(target=_serve, args=queues, name="emvr-pass-helper",
+                             daemon=True).start()
+            _helper = queues
+        jobs, done = _helper
+        jobs.put((contextvars.copy_context(), block, mid, m))
+        try:
+            block(0, mid)
+        finally:
+            err = done.get()
+    finally:
+        _helper_lock.release()
+    if err is not None:
+        raise err

@@ -15,7 +15,13 @@ Numerics: every pooled statistic, store row and likelihood comes from one
 component-major E-step pass (:func:`_gmm_pass`), a softmax with max-subtraction
 over ``(g, m)`` logits centred on the data mean (a full pass reads the centred
 rows cached on the dataset); the rows' quadratic enters the
-likelihood as ``tr(Sigma^{-1} C) / 2``, with C the data's centred moment.  The
+likelihood as ``tr(Sigma^{-1} C) / 2``, with C the data's centred moment.  A
+pass with at least ``core.SPLIT_WORK`` logits runs its kernel (:func:`_softmax`)
+in two row parts, the second on a helper thread (:func:`emvr.core._split_rows`),
+split at a row that keeps OpenBLAS's ``gemm`` bits; each part writes only its
+own columns of arrays allocated beforehand, and the lift over the rows stays
+one call, so every output is bitwise the one-thread pass's.  A smaller pass
+runs the kernel once over all rows.  The
 pooled covariance has one formula and is kept as its Cholesky factor, so it is
 positive definite by construction.  The scalar posterior is one in-place
 logistic of the negated log-odds, built from the halved means with ``(mu1 - mu2) / v``
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
-from .core import Dataset, DomainError, Model, full_stats
+from .core import Dataset, DomainError, Model, _split_point, _split_rows, full_stats
 
 # Masses at or below this floor make a component empty; the M-step refuses
 # to fit rather than clamp, so misconfigured runs fail loudly.
@@ -155,24 +161,44 @@ def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([post.sum(axis=1), (post @ rows).reshape(-1)])
 
 
+def _softmax(B, bias, xc, want_lse, a=None, mx=None, denom=None, lse=None):
+    """The E-step kernel over the centred rows ``xc``: ``(post, lse)``, the
+    ``(g, m)`` softmax of the logits ``B xc' + bias`` with max-subtraction and,
+    if wanted, each row's log-sum-exp.  It writes into the arrays it is given
+    (one part of a split pass) and makes each one it is not given."""
+    a = np.matmul(B, xc.T, out=a)
+    a += bias[:, None]
+    mx = a.max(axis=0, out=mx)
+    np.exp(np.subtract(a, mx, out=a), out=a)
+    denom = a.sum(axis=0, out=denom)
+    a /= denom
+    return a, np.add(np.log(denom, out=lse), mx, out=lse) if want_lse else None
+
+
 def _gmm_pass(params: GmmParams, data: Dataset, indices, want_lse: bool = False):
     """The one pooled E-step over the rows ``indices`` (all rows if ``None``):
     ``(rows, post, lse)``, the rows gathered once, their ``(g, m)`` posteriors and,
     if wanted, each row's log-sum-exp of the logits, its log-likelihood plus r.
-    A full pass reads the dataset's cached centred rows; a batch centres its own."""
+    A full pass reads the dataset's cached centred rows; a batch centres its own.
+    A large pass runs :func:`_softmax` in two row parts (``core._split_rows``)."""
     if indices is None:
         rows, xc = data.values, data.centred
     else:
         rows = data.values[indices]
         xc = rows - data.mean
     B, bias = _logit_terms(params, data.mean)
-    a = B @ xc.T
-    a += bias[:, None]
-    mx = a.max(axis=0)
-    np.exp(np.subtract(a, mx, out=a), out=a)
-    denom = a.sum(axis=0)
-    a /= denom
-    return rows, a, np.log(denom) + mx if want_lse else None
+    g, m = B.shape[0], xc.shape[0]
+    mid = _split_point(m, g * m)
+    if not mid:
+        return (rows, *_softmax(B, bias, xc, want_lse))
+    # each part writes its own columns of arrays made here: the helper thread
+    # makes no array of the pass's size
+    a, mx, denom = np.empty((g, m)), np.empty(m), np.empty(m)
+    lse = np.empty(m) if want_lse else None
+    _split_rows(lambda lo, hi: _softmax(B, bias, xc[lo:hi], want_lse, a[:, lo:hi], mx[lo:hi],
+                                        denom[lo:hi], None if lse is None else lse[lo:hi]),
+                m, mid)
+    return rows, a, lse
 
 
 def _pooled_cov(second_moment: np.ndarray, w: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -231,18 +257,6 @@ def gmm_phi(params: GmmParams) -> np.ndarray:
     gamma_mu = (li.T @ z).T                                      # (g, p)
     head = np.log(params.weights) - 0.5 * quad
     return np.concatenate([head, gamma_mu.reshape(-1)])
-
-
-def gmm_log_partition(params: GmmParams, second_moment: np.ndarray) -> float:
-    """Log-partition term of the complete-data objective, data-dependent.
-
-    ``(p/2) log(2 pi) + tr(Gamma M2) / 2 - log det(Gamma) / 2`` where M2 is
-    the dataset second moment.
-    """
-    prec = params.precision()
-    return float(0.5 * params.dim * _LOG_2PI
-                 + 0.5 * np.sum(prec * second_moment)
-                 + 0.5 * params.log_det_cov())
 
 
 class PooledGmm(Model):

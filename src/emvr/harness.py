@@ -24,7 +24,7 @@ from . import __version__
 from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
                          StepSchedule, run_algorithm, updates_per_epoch)
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
-                   MinibatchSampler, full_stats)
+                   MinibatchSampler, _serial_passes, full_stats)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
 from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
                   init_kmeans, init_random_responsibility)
@@ -173,6 +173,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[data] kind=file requires a path")
     if cfg.step_kind not in ("constant", "inverse-sqrt"):
         raise ConfigError(f"[steps] unknown kind {cfg.step_kind!r}")
+    # the negated forms reject nan too
+    if not cfg.gamma >= 0:
+        raise ConfigError(f"[steps] gamma must be >= 0, got {cfg.gamma!r}")
+    if not cfg.step_coefficient > 0:
+        raise ConfigError(f"[steps] coefficient must be > 0, got {cfg.step_coefficient!r}")
     for key, allowed in (("sampling", (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
                          ("metric", METRIC_MODES), ("snapshot", SNAPSHOT_MODES)):
         value = getattr(cfg, key)
@@ -355,7 +360,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
     results = []
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    # the workers use the cores, so each keeps its passes on one thread
+    pool = (ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_serial_passes)
+            if cfg.jobs > 1 else None)
     with pool or nullcontext():
         for res in (pool.map if pool else map)(_run_one_job, jobs):
             results.append(res)

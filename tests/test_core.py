@@ -40,10 +40,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.nan]]))
 
-    def test_row_accessor(self):
-        data = Dataset(np.arange(6.0).reshape(3, 2))
-        assert np.array_equal(data.row(1), [2.0, 3.0])
-
 
 class TestCheckpointContract:
     @pytest.mark.parametrize("case", ["scalar", "default"])

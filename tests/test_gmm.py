@@ -12,8 +12,8 @@ from emvr import (Dataset, DomainError, GmmParams, PooledGmm, ScalarTwoGmm,
                   run_algorithm, save_params, scalar2_m_step)
 from emvr import gmm
 from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
-from emvr.gmm import (_logistic, gmm_log_partition, gmm_m_step, gmm_phi,
-                      gmm_posterior, init_kmeans, init_random_responsibility)
+from emvr.gmm import (_logistic, gmm_m_step, gmm_phi, gmm_posterior,
+                      init_kmeans, init_random_responsibility)
 
 
 def random_params(g, p, seed):
@@ -23,6 +23,15 @@ def random_params(g, p, seed):
     a = rng.standard_normal((p, p))
     cov = a @ a.T + p * np.eye(p)
     return GmmParams(weights=w, means=means, cov_chol=np.linalg.cholesky(cov))
+
+
+def gmm_log_partition(params, second_moment):
+    """Oracle for the log-partition term of the complete-data objective,
+    ``(p/2) log(2 pi) + tr(Gamma M2) / 2 - log det(Gamma) / 2`` with M2 the
+    data's second moment."""
+    return float(0.5 * params.dim * np.log(2.0 * np.pi)
+                 + 0.5 * np.sum(params.precision() * second_moment)
+                 + 0.5 * params.log_det_cov())
 
 
 class TestPosterior:
@@ -61,13 +70,13 @@ class TestSbar:
         row = gmm_model.sbar_rows(gmm_data, np.array([4]), params)[0]
         masses, moments = row[:3], row[3:].reshape(3, 2)
         assert abs(masses.sum() - 1.0) <= 1e-14
-        assert np.abs(moments.sum(axis=0) - gmm_data.row(4)).max() <= 1e-12
+        assert np.abs(moments.sum(axis=0) - gmm_data.values[4]).max() <= 1e-12
 
     def test_matches_latent_enumeration(self, gmm_data):
         # direct oracle: sum s(y, z) p(z | y) over the two latent values
         model = PooledGmm.from_data(2, gmm_data)
         params = random_params(2, 2, 3)
-        y = gmm_data.row(7)
+        y = gmm_data.values[7]
         cov = params.covariance()
         joint = np.array([params.weights[z] * multivariate_normal.pdf(y, params.means[z], cov)
                           for z in range(2)])
@@ -281,7 +290,7 @@ class TestNll:
         s = init_random_responsibility(model, data, seed=1)
         params = model.m_step(s)
         assert np.isfinite(model.penalized_nll(data, params))
-        post = gmm_posterior(params, data.row(0))
+        post = gmm_posterior(params, data.values[0])
         assert np.isfinite(post).all() and abs(post.sum() - 1.0) <= 1e-14
 
 

@@ -17,16 +17,34 @@ across both phases of a warm start; an epsilon hit in update mode for nested
 methods; and divergences inside a
 flat run, inside an inner loop, at a damped outer refresh and at a restart.
 A divergence's reason is checked beside the hashes, which leave it out.
+
+These cases use the scalar mixture, whose kernel makes no BLAS call.  The
+pooled set (``POOLED_CASES``) pins ``PooledGmm`` at n = 300, g = 4, p = 3
+from a k-means start: every method of ``ESTIMATORS``, a warm start, a
+divergence, and EM at n = 33 000, where a pass splits over two threads.  A
+pooled pass runs through OpenBLAS ``gemm``, whose rounding may depend on the
+CPU's kernel path, so its expected values are stored (``golden_pooled.json``,
+shortest round-trip floats) and compared with a tolerance: statuses,
+positions and counters exactly; objectives within ``POOLED_RTOL`` of the
+largest stored objective, and ``sqrt(h_sq)`` and the final statistic within
+``POOLED_RTOL`` of the final statistic's largest entry.  The script prints
+one hash per pooled case beside the stored one, so a change can tell bitwise
+from moved within the tolerance; ``--write-pooled`` regenerates the file.
 """
 
 import hashlib
+import json
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emvr import (MinibatchSampler, ScalarTwoGmm, ScalarTwoGmmParams,
-                  StepSchedule, full_stats, run_algorithm)
-from emvr.data import gen_scalar_mixture
+from emvr import (MinibatchSampler, PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
+                  StepSchedule, full_stats, init_kmeans, run_algorithm)
+from emvr.algorithms import ESTIMATORS
+from emvr.data import gen_multivariate_mixture, gen_scalar_mixture
 from emvr.harness import (ExperimentConfig, build_dataset, build_model,
                           initial_stats, run_experiment, run_single)
 
@@ -274,6 +292,121 @@ def test_divergence_reasons(tmp_path, monkeypatch):
     assert "trace_spider-em_3.csv = diverged (empty component)" in manifest
 
 
+# ---------------------------------------------------------------------------
+# the pooled set
+
+POOLED_FILE = Path(__file__).with_name("golden_pooled.json")
+POOLED_RTOL = 1e-12
+
+
+def _pooled_fixture(n=300):
+    data = gen_multivariate_mixture(n, 4, 3, 4.0, seed=5)
+    model = PooledGmm.from_data(4, data)
+    return model, data, init_kmeans(model, data, seed=0)
+
+
+def _b10(seed):
+    return MinibatchSampler(10, seed)
+
+
+# b = 10 at n = 300: 30 updates an epoch, three epochs
+POOLED_CASES = {
+    "em": lambda m, d, s: run_algorithm("em", m, d, s, k_max=4),
+    "online-em": lambda m, d, s: run_algorithm("online-em", m, d, s, _b10(1), _gamma(0.05),
+                                               k_max=90),
+    "iem": lambda m, d, s: run_algorithm("iem", m, d, s, _b10(2), k_max=90),
+    "fiem": lambda m, d, s: run_algorithm("fiem", m, d, s, _b10(3), _gamma(0.05),
+                                          lambda tag: 103, k_max=90),
+    "sem-vr": lambda m, d, s: run_algorithm("sem-vr", m, d, s, _b10(4), _gamma(0.05),
+                                            k_out=3, k_in=31),
+    "spider-em": lambda m, d, s: run_algorithm("spider-em", m, d, s, _b10(5), _gamma(0.05),
+                                               k_out=3, k_in=31),
+    "spider-em-cv": lambda m, d, s: run_algorithm("spider-em-cv", m, d, s, _b10(5),
+                                                  _gamma(0.05), k_out=3, k_in=31),
+    "spider-em-pl": lambda m, d, s: run_algorithm("spider-em-pl", m, d, s, _b10(6),
+                                                  _gamma(0.05), lambda tag: 6, k_out=3,
+                                                  k_in=31),
+    "warm-spider-em": lambda m, d, s: run_algorithm("spider-em", m, d, s, _b10(7),
+                                                    _gamma(0.05), k_out=2, k_in=31,
+                                                    warm_epochs=1),
+    "online-em-diverged": lambda m, d, s: run_algorithm("online-em", m, d, s,
+                                                        MinibatchSampler(2, 8), _gamma(3.0),
+                                                        k_max=90),
+    "em-split": lambda m, d, s: run_algorithm("em", *_pooled_fixture(33_000), k_max=3),
+}
+
+
+def run_pooled_case(name):
+    return POOLED_CASES[name](*_pooled_fixture())
+
+
+def pooled_values(trace) -> dict:
+    """What the pooled set stores of a run: exact fields, then float lists."""
+    return {
+        "hash": digest(trace), "status": trace.status, "hit": trace.hit,
+        "diverged_at": trace.diverged_at, "xi": [int(x) for x in trace.xi],
+        "counters": [trace.counters.ce, trace.counters.mstep, trace.monitor.ce,
+                     trace.monitor.mstep],
+        "records": [[r.phase, int(r.t), int(r.k), int(r.tau), float(r.epoch), int(r.ce),
+                     int(r.mstep)] for r in trace.records],
+        "W": [float(r.objective) for r in trace.records],
+        "sqrt_h_sq": [math.sqrt(r.h_sq) for r in trace.records],
+        "s_final": [float(v) for v in trace.s_final],
+    }
+
+
+FLOATS = ("W", "sqrt_h_sq", "s_final")
+
+
+def pooled_deviation(got: dict, want: dict) -> float:
+    """Largest float deviation of ``got`` from ``want``, in units of the largest
+    stored objective for objectives and of the largest entry of the final
+    statistic for the rest (``h_sq`` measures a difference of statistics);
+    nan where their shapes or nan patterns differ."""
+    worst = 0.0
+    for key in FLOATS:
+        a, b = np.array(got[key], dtype=float), np.array(want[key], dtype=float)
+        if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+            return math.nan
+        scale = np.nanmax(np.abs(want["W" if key == "W" else "s_final"]), initial=0.0)
+        finite = ~np.isnan(b)
+        if finite.any():
+            worst = max(worst, float(np.abs(a[finite] - b[finite]).max()) / (scale or 1.0))
+    return worst
+
+
+def _json(values):
+    # tuples become lists, as they read back
+    return json.loads(json.dumps(values))
+
+
+@pytest.fixture(scope="module")
+def pooled_expected():
+    return json.loads(POOLED_FILE.read_text())
+
+
+def test_pooled_cases_are_all_stored(pooled_expected):
+    assert sorted(pooled_expected) == sorted(POOLED_CASES)
+    assert set(ESTIMATORS) <= set(POOLED_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_CASES))
+def test_pooled_golden(name, pooled_expected, monkeypatch):
+    monkeypatch.delenv("EM_SEED_OFFSET", raising=False)
+    got, want = _json(pooled_values(run_pooled_case(name))), pooled_expected[name]
+    for key in want:
+        if key not in FLOATS + ("hash",):
+            assert got[key] == want[key], key
+    assert pooled_deviation(got, want) <= POOLED_RTOL
+
+
+def test_pooled_cases_reach_their_outcomes(pooled_expected):
+    assert pooled_expected["online-em-diverged"]["status"] == "diverged"
+    assert pooled_expected["warm-spider-em"]["records"][-1][0] == "spider-em"
+    assert all(case["status"] == "completed" for name, case in pooled_expected.items()
+               if name != "online-em-diverged")
+
+
 if __name__ == "__main__":
     current = {name: digest(run_case(name)) for name in sorted(CASES)}
     for name, value in current.items():
@@ -281,3 +414,12 @@ if __name__ == "__main__":
             print(f"{name}: {GOLDEN.get(name)} -> {value}")
     for name, value in current.items():
         print(f"    {name!r}: {value!r},")
+    pooled = {name: _json(pooled_values(run_pooled_case(name))) for name in sorted(POOLED_CASES)}
+    stored = json.loads(POOLED_FILE.read_text()) if POOLED_FILE.exists() else {}
+    for name, values in pooled.items():
+        old = stored.get(name)
+        state = ("new" if old is None else "bitwise" if old["hash"] == values["hash"]
+                 else f"moved {pooled_deviation(values, old):.2e} (stored {old['hash']})")
+        print(f"pooled {name}: {values['hash']} {state}")
+    if "--write-pooled" in sys.argv[1:]:
+        POOLED_FILE.write_text(json.dumps(pooled, indent=1) + "\n")

@@ -124,6 +124,20 @@ outer_gamma = 0.75
             parse_config("[run]\nalgorithms = spider-em\nbatch_size = 4\nepochs = 2\n"
                          "warm_epochs = 4\n")
 
+    def test_step_sizes_are_checked_before_any_run(self, tmp_path):
+        # a bad step is a config error before the output directory exists
+        for body in ("gamma = -0.5", "gamma = nan", "kind = inverse-sqrt\ncoefficient = 0",
+                     "coefficient = -1"):
+            key = body.split("\n")[-1].split(" =")[0]
+            with pytest.raises(ConfigError, match=rf"\[steps\] {key} must be"):
+                parse_config(f"[run]\nalgorithms = em\nk_max = 3\n[steps]\n{body}\n")
+        out = tmp_path / "runs"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[run]\nalgorithms = online-em\nbatch_size = 4\nk_max = 3\n"
+                       f"out_dir = {out}\n[steps]\ngamma = -0.1\n")
+        assert cli_main(["run", "--config", str(bad)]) == 1
+        assert not out.exists()
+
     def test_consistency_checks(self):
         with pytest.raises(ConfigError, match="needs k_in and k_out"):
             parse_config("[run]\nalgorithms = spider-em\nbatch_size = 4\n")
