@@ -70,7 +70,7 @@ def _cmd_compare(args) -> int:
     cfg = ExperimentConfig(
         model_kind="gmm", components=args.components, dim=args.dim,
         data_kind="multivariate-mixture", n=args.n, separation=args.separation,
-        data_seed=args.data_seed, init_kind="random-responsibility",
+        data_seed=args.data_seed, init_kind=args.init,
         init_seed=args.init_seed, algorithms=algos, seeds=seeds,
         batch_size=args.batch_size, epochs=args.epochs, warm_epochs=args.kswitch,
         gamma=args.gamma, out_dir=args.out, jobs=args.jobs)
@@ -203,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=5e-3)
     p.add_argument("--kswitch", type=int, default=2)
     p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--init", choices=("random-responsibility", "kmeans"),
+                   default="random-responsibility")
     p.add_argument("--init-seed", type=int, default=0)
     p.add_argument("--quantiles", default="0.25,0.5,0.75")
     p.add_argument("--jobs", type=int, default=1)

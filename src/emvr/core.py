@@ -167,8 +167,9 @@ class Model(ABC):
     waking more threads costs more than it saves.  A row-wise pass with at
     least ``SPLIT_WORK`` entries may run its second half of rows on one
     helper thread (:func:`_split_point`, :func:`_split_rows`), bitwise the
-    one-thread pass; no smaller pass does, and none in a harness worker
-    process.
+    one-thread pass: ``PooledGmm``'s E-step does, and so do the Lloyd steps
+    of its k-means start; no smaller pass does, and none in a harness
+    worker process.
     """
 
     @property
@@ -395,7 +396,9 @@ def _split_point(m: int, work: int) -> int:
     """The row at which a pass over ``m`` rows and ``work`` (component, row)
     entries splits: half of ``m`` rounded down to ``SPLIT_ROWS`` rows.  0, for a
     pass that runs whole on the calling thread: one below ``SPLIT_WORK``, one
-    with under ``SPLIT_ROWS`` rows a half, and every pass of a harness worker."""
+    with under ``SPLIT_ROWS`` rows a half, and every pass of a harness worker.
+    The pooled E-step and the k-means start's Lloyd steps split where it is
+    nonzero; the k-means start's column-wise work then splits its columns too."""
     if work < SPLIT_WORK or not _split_passes:
         return 0
     return m // 2 // SPLIT_ROWS * SPLIT_ROWS
@@ -403,12 +406,13 @@ def _split_point(m: int, work: int) -> int:
 
 def _split_rows(block, m: int, mid: int) -> None:
     """Run ``block(lo, hi)`` over the rows ``[0, m)`` as ``block(0, mid)`` here and
-    ``block(mid, m)`` on the helper thread; while another thread splits, as
-    ``block(0, m)`` here.  The helper runs in a copy of the caller's context, so
-    ``np.errstate`` holds in both parts, and its exception is raised here.
-    ``block`` must write only its own rows of arrays the caller made."""
+    ``block(mid, m)`` on the helper thread; at ``mid`` 0, or while another thread
+    splits, as ``block(0, m)`` here.  The helper runs in a copy of the caller's
+    context, so ``np.errstate`` holds in both parts, and its exception is raised
+    here.  ``block`` must write only its own rows (or the columns, or other
+    slices, that ``lo:hi`` names) of arrays the caller made."""
     global _helper
-    if not _helper_lock.acquire(blocking=False):
+    if not mid or not _helper_lock.acquire(blocking=False):
         block(0, m)
         return
     try:

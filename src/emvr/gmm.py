@@ -21,7 +21,10 @@ in two row parts, the second on a helper thread (:func:`emvr.core._split_rows`),
 split at a row that keeps OpenBLAS's ``gemm`` bits; each part writes only its
 own columns of arrays allocated beforehand, and the lift over the rows stays
 one call, so every output is bitwise the one-thread pass's.  A smaller pass
-runs the kernel once over all rows.  The
+runs the kernel once over all rows.  The k-means start (:func:`init_kmeans`)
+splits each Lloyd step of that size too: the assignment by rows, the
+per-column cluster sums by columns, each part into arrays made beforehand,
+so the start is bitwise the one-thread start.  The
 pooled covariance has one formula and is kept as its Cholesky factor, so it is
 positive definite by construction.  The scalar posterior is one in-place
 logistic of the negated log-odds, built from the halved means with ``(mu1 - mu2) / v``
@@ -476,36 +479,59 @@ def init_random_responsibility(model: Model, data: Dataset, seed) -> np.ndarray:
 
 def _nearest_center(xc: np.ndarray, centers: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Each row's nearest centre, by ``|c - center|^2 / 2 - (x - center) . (c - center)``
-    (``|x - c|^2 / 2`` less a per-row constant) with ``xc = x - center`` given."""
+    (``|x - c|^2 / 2`` less a per-row constant) with ``xc = x - center`` given; a
+    large step runs in two row parts (``core._split_rows``), bitwise one part."""
     cc = centers - center
-    score = xc @ cc.T
-    np.subtract(0.5 * np.einsum("gp,gp->g", cc, cc), score, out=score)
-    return score.argmin(axis=1)
+    half = 0.5 * np.einsum("gp,gp->g", cc, cc)
+    m, g = xc.shape[0], cc.shape[0]
+    score, assign = np.empty((m, g)), np.empty(m, dtype=np.intp)
+
+    def block(lo, hi):
+        part = np.matmul(xc[lo:hi], cc.T, out=score[lo:hi])
+        np.subtract(half, part, out=part).argmin(axis=1, out=assign[lo:hi])
+
+    _split_rows(block, m, _split_point(m, g * m))
+    return assign
 
 
 def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.ndarray:
     """Starting statistics from seeded k-means-style hard clustering.
 
-    Picks g distinct rows as centers, runs a few Lloyd iterations, fits
+    Picks g distinct rows as centers, runs ``n_iter >= 1`` Lloyd iterations, fits
     weights/means/pooled covariance to the hard assignment and maps the
     parameters to statistics via a full E-step pass.  A Lloyd update sums each
     cluster's rows in row order with one ``bincount`` per column, from 0.0, and
     divides by the count: the bits of ``X[assign == l].mean(axis=0)``.  An empty
-    cluster keeps its centre.
+    cluster keeps its centre.  Where the assignment step splits its rows
+    (:func:`emvr.core._split_point`), the column copies and the per-column sums
+    split their columns in two parts as well; each ``bincount`` stays one call,
+    so the start is bitwise the one-thread start.
     """
+    n, p, g = data.n, data.dim, model.g
+    if n_iter < 1:
+        raise ValueError(f"k-means needs n_iter >= 1, got {n_iter}")
+    if g > n:
+        raise ValueError(f"k-means needs at least g rows: g={g} components, n={n} rows")
     rng = np.random.default_rng(seed)
-    g = model.g
     # the kept cache is made before the transient transpose: the other way round,
     # the freed transpose would stay resident beneath the cache in the heap
     X, xc = data.values, data.centred
-    cols = np.ascontiguousarray(X.T)
-    centers = X[rng.choice(data.n, size=g, replace=False)].copy()
+    mid_col = p // 2 if _split_point(n, g * n) else 0
+    cols = np.empty((p, n))
+    _split_rows(lambda lo, hi: np.copyto(cols[lo:hi], X[:, lo:hi].T), p, mid_col)
+    sums = np.empty((p, g))
+
+    def cluster_sums(lo, hi):   # of the columns lo:hi, under the current step's assign
+        for j in range(lo, hi):
+            sums[j] = np.bincount(assign, weights=cols[j], minlength=g)
+
+    centers = X[rng.choice(n, size=g, replace=False)].copy()
     for _ in range(n_iter):
         assign = _nearest_center(xc, centers, data.mean)
         counts = np.bincount(assign, minlength=g)
-        sums = np.stack([np.bincount(assign, weights=col, minlength=g) for col in cols], axis=1)
+        _split_rows(cluster_sums, p, mid_col)
         hit = counts > 0
-        centers[hit] = sums[hit] / counts[hit, None]
+        centers[hit] = sums[:, hit].T / counts[hit, None]
     counts = np.maximum(counts, 1).astype(np.float64)
     weights = counts / counts.sum()
     cov = _pooled_cov(data.second_moment, weights, centers)

@@ -1,11 +1,12 @@
 """Experiment runner: configs, trace files, complexity estimation, summaries.
 
 A run is fully determined by a config file and a seed; the manifest records
-a hash of the canonical config so outputs are attributable, and each
-trace's status, with the reason of a divergence.  Trace CSVs use
-a fixed column schema (epoch, t, k, tau, W, h_sq_norm, ce_count,
-mstep_count, wall_ms, status); wall_ms is the only column allowed to vary
-between repetitions.
+a hash of the canonical config so outputs are attributable, each trace's
+status, with the reason of a divergence, and the numeric environment the
+runs had (numpy, scipy and BLAS versions, BLAS threads, split passes).
+Trace CSVs use a fixed column schema (epoch, t, k, tau, W, h_sq_norm,
+ce_count, mstep_count, wall_ms, status); wall_ms is the only column allowed
+to vary between repetitions.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, core
 from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
                          StepSchedule, run_algorithm, updates_per_epoch)
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
@@ -384,10 +386,17 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
         summary_rows[0] + "\n" + "\n".join(sorted(summary_rows[1:])) + "\n")
     diverged = sum(1 for v in statuses.values() if v == "diverged")
     rate = diverged / len(statuses)
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     manifest = [f"emvr version = {__version__}",
                 f"config hash = {config_hash(cfg)}",
                 f"seed offset = {seed_offset()}",
-                f"divergence rate = {rate}"]
+                f"divergence rate = {rate}",
+                f"numpy version = {np.__version__}",
+                f"scipy version = {scipy.__version__}",
+                f"blas = {blas['name']} {blas['version']}",
+                f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+                # pool workers keep every pass on one thread
+                f"split passes = {'yes' if core._split_passes and pool is None else 'no'}"]
     manifest += [f"trace_{a}_{s}.csv = {st}{reasons.get((a, s), '')}"
                  for (a, s), st in sorted(statuses.items())]
     manifest.append("")

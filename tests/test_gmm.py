@@ -607,6 +607,16 @@ class TestInitializers:
         assert any((c == 0).any() for c in counts)
         assert got.tobytes() == _kmeans_difference_form(model, data, seed=0)[1].tobytes()
 
+    @pytest.mark.parametrize("n_iter", [0, -1])
+    def test_kmeans_needs_a_lloyd_step(self, gmm_model, gmm_data, n_iter):
+        with pytest.raises(ValueError, match=f"n_iter >= 1, got {n_iter}"):
+            init_kmeans(gmm_model, gmm_data, seed=0, n_iter=n_iter)
+
+    def test_kmeans_needs_a_row_per_component(self):
+        data = gen_multivariate_mixture(4, 2, 2, 4.0, seed=0)
+        with pytest.raises(ValueError, match="g=5 components, n=4 rows"):
+            init_kmeans(PooledGmm.from_data(5, data), data, seed=0)
+
 
 class TestSerialization:
     def test_round_trip_pooled(self, tmp_path):

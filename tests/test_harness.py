@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+import scipy
 
 from emvr.cli import main as cli_main
 from emvr.harness import (ConfigError, ExperimentConfig,
@@ -172,8 +175,22 @@ class TestRunExperiment:
             for seed in (0, 1):
                 assert f"trace_{algo}_{seed}.csv" in names
         assert summary["divergence_rate"] == 0.0
-        manifest = (out / "manifest.txt").read_text()
-        assert config_hash(cfg) in manifest
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"config hash = {config_hash(cfg)}" in manifest
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        for line in (f"numpy version = {np.__version__}",
+                     f"scipy version = {scipy.__version__}",
+                     f"blas = {blas['name']} {blas['version']}",
+                     f"OPENBLAS_NUM_THREADS = {threads}",
+                     "split passes = yes"):
+            assert line in manifest
+
+    def test_manifest_says_pool_workers_do_not_split(self, tmp_path):
+        cfg = parse_config(GOOD_CONFIG.format(out=tmp_path / "runs"))
+        cfg.algorithms, cfg.seeds, cfg.jobs = ("online-em",), (0, 1), 2
+        run_experiment(cfg)
+        assert "split passes = no" in (tmp_path / "runs" / "manifest.txt").read_text()
 
     def test_repeat_runs_byte_identical_modulo_wall(self, tmp_path):
         cfg = parse_config(GOOD_CONFIG.format(out=tmp_path / "a"))
@@ -450,6 +467,16 @@ class TestCli:
                          "--kswitch", "2", "--out", str(tmp_path / "cmp"),
                          "--quiet"]) == 0
         assert (tmp_path / "cmp" / "quantiles_spider-em.csv").exists()
+        manifest = (tmp_path / "cmp" / "manifest.txt").read_text()
+        assert "init_kind = 'random-responsibility'" in manifest.split("[config]")[1]
+
+    def test_compare_init_kmeans(self, tmp_path, capsys):
+        assert cli_main(["compare", "--algos", "em", "--epochs", "2", "--seeds", "2",
+                         "--n", "400", "--components", "3", "--dim", "2",
+                         "--separation", "4", "--batch-size", "20", "--init", "kmeans",
+                         "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+        manifest = (tmp_path / "cmp" / "manifest.txt").read_text()
+        assert "init_kind = 'kmeans'" in manifest.split("[config]")[1]
 
     def test_compare_validates_its_config(self, tmp_path, capsys):
         out = tmp_path / "cmp"

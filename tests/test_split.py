@@ -1,5 +1,6 @@
-"""The two-part pass: a large pooled E-step runs its second half on a helper
-thread and keeps the bits of the one-thread pass.
+"""The two-part pass: a large pooled E-step, and each Lloyd step of a large
+k-means start, runs its second half on a helper thread and keeps the bits of
+the one-thread run.
 
 The bitwise checks run in a child process with one BLAS thread, the setting
 the contract is stated for: with several BLAS threads OpenBLAS partitions a
@@ -22,13 +23,17 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from emvr import (GmmParams, PooledGmm, core, gen_multivariate_mixture,  # noqa: E402
-                  harness, minibatch_stats)
+from emvr import (Dataset, GmmParams, PooledGmm, core, gen_multivariate_mixture,  # noqa: E402
+                  gmm, harness, minibatch_stats)
 from emvr.core import SPLIT_ROWS, SPLIT_WORK, _split_point, _split_rows  # noqa: E402
-from emvr.gmm import _gmm_pass  # noqa: E402
+from emvr.gmm import _gmm_pass, init_kmeans  # noqa: E402
 
 
 MID = 34 * SPLIT_ROWS   # the split row of a 70 000-row pass
+# at n = 50 003 a split at the unaligned half, row 25 001, moves gemm bits;
+# p = 51 gives the k-means start's two column parts unequal sizes
+PASS_SHAPES = ((70_000, 12, 20), (50_003, 12, 20), (50_001, 3, 50))
+KMEANS_SHAPES = ((70_000, 12, 20), (50_003, 12, 20), (50_001, 3, 51))
 
 
 def _parts(m, mid):
@@ -153,33 +158,87 @@ def _traces(out_dir, jobs):
             for path in Path(cfg.out_dir).glob("*.csv")}
 
 
+def _three_ways(outputs, label) -> list[str]:
+    """Each output of ``outputs()`` whose bits, split or in one part, differ
+    from the one-thread run's."""
+    split = outputs()
+    with core._helper_lock:   # as while another thread splits: one part, here
+        one_part = outputs()
+    core._split_passes = False
+    try:
+        serial = outputs()
+    finally:
+        core._split_passes = True
+    return [f"{label}: {key} {how}" for key in serial
+            for how, got in (("split", split), ("one part", one_part))
+            if got[key].tobytes() != serial[key].tobytes()]
+
+
+def _kmeans_starts(model, data):
+    return {f"init_kmeans seed={seed}": init_kmeans(model, data, seed) for seed in (0, 1)}
+
+
+def _on_helper(run):
+    """``run()``'s result, and the qualified names of the blocks that the helper
+    thread ran meanwhile."""
+    seen, real = [], core._run_part
+
+    def spy(ctx, block, lo, hi):
+        seen.append(block.__qualname__)
+        return real(ctx, block, lo, hi)
+
+    core._run_part = spy
+    try:
+        return run(), seen
+    finally:
+        core._run_part = real
+
+
 def bitwise_mismatches(out_dir) -> list[str]:
-    """Each output of a split pass, of a pass that writes its arrays in one part,
-    or trace of a pooled run, whose bits differ from the one-thread pass; the
-    empty list when all agree."""
+    """Each output of a split pass or k-means start, of one that writes its arrays
+    in one part, or trace of a pooled run, whose bits differ from the one-thread
+    run's; the empty list when all agree."""
     bad = []
-    # at n = 50 003 a split at the unaligned half, row 25 001, moves gemm bits
-    for n, g, p in ((70_000, 12, 20), (50_003, 12, 20), (50_001, 3, 50)):
+    for n, g, p in sorted(set(PASS_SHAPES + KMEANS_SHAPES)):
         assert g * n >= SPLIT_WORK
         data = gen_multivariate_mixture(n, g, p, 6.0, seed=n + p)
-        rng = np.random.default_rng(p)
-        params = GmmParams(weights=rng.dirichlet(np.ones(g)),
-                           means=data.values[rng.choice(n, g, replace=False)],
-                           cov_chol=np.linalg.cholesky(data.centred_moment))
         model = PooledGmm.from_data(g, data)
-        split = _outputs(model, data, params)
-        with core._helper_lock:   # as while another thread splits: one part, here
-            one_part = _outputs(model, data, params)
-        core._split_passes = False
-        serial = _outputs(model, data, params)
-        core._split_passes = True
-        bad += [f"n={n} g={g} p={p}: {key} {how}" for key in serial
-                for how, got in (("split", split), ("one part", one_part))
-                if got[key].tobytes() != serial[key].tobytes()]
+        if (n, g, p) in PASS_SHAPES:
+            rng = np.random.default_rng(p)
+            params = GmmParams(weights=rng.dirichlet(np.ones(g)),
+                               means=data.values[rng.choice(n, g, replace=False)],
+                               cov_chol=np.linalg.cholesky(data.centred_moment))
+            bad += _three_ways(lambda: _outputs(model, data, params), f"n={n} g={g} p={p}")
+        if (n, g, p) in KMEANS_SHAPES:
+            bad += _three_ways(lambda: _kmeans_starts(model, data), f"n={n} g={g} p={p}")
     if "emvr-pass-helper" not in [t.name for t in threading.enumerate()]:
         bad.append("no pass was split")
-    # pool workers fork from a process whose passes split, and keep theirs whole
-    serial = _traces(out_dir, 1)
+    # half the rows repeat the first, so two starting centres coincide and one
+    # cluster is left empty (as in test_gmm's test_empty_cluster_keeps_its_centre)
+    rows = np.random.default_rng(1).standard_normal((35_000, 2))
+    data = Dataset(np.vstack([rows, np.repeat(rows[:1], 35_000, axis=0)]))
+    model = PooledGmm.from_data(3, data)
+    counts, real = [], gmm._nearest_center
+
+    def spy(xc, centers, center):
+        assign = real(xc, centers, center)
+        counts.append(np.bincount(assign, minlength=3))
+        return assign
+
+    gmm._nearest_center = spy
+    try:
+        bad += _three_ways(lambda: {"init_kmeans": init_kmeans(model, data, 0)},
+                           "empty cluster")
+    finally:
+        gmm._nearest_center = real
+    if not any((c == 0).any() for c in counts):
+        bad.append("no k-means step left a cluster empty")
+    # pool workers fork from a process whose passes split, and keep theirs whole;
+    # the jobs=1 run splits its k-means start and its passes
+    serial, blocks = _on_helper(lambda: _traces(out_dir, 1))
+    for name in ("_nearest_center", "init_kmeans", "_gmm_pass"):
+        if not any(q.startswith(name + ".") for q in blocks):
+            bad.append(f"the helper ran no part of {name} in the jobs=1 run")
     harness._run_one_job = _job_on_one_thread
     if _traces(out_dir, 2) != serial or len(serial) != 3:
         bad.append(f"jobs=2 traces differ from jobs=1 ({sorted(serial)})")
