@@ -334,6 +334,11 @@ class _Estimator:
     flat method and "damped" or "restart" for a nested one; the harness
     warm-starts ``warm`` methods, and the driver runs ``unit_step`` ones at
     step 1 whatever the schedule.
+
+    Every method is built one way, ``cls(model, data, sampler, seeds)``.
+    One that draws an extra random stream seeds it by ``self._seed(seeds,
+    tag)`` after ``super().__init__``, so that a missing sampler raises
+    before any seed is drawn; the others ignore ``seeds``.
     """
 
     name = ""
@@ -342,7 +347,8 @@ class _Estimator:
     relaxes = True
     refresh = None
 
-    def __init__(self, model: Model, data: Dataset, sampler: MinibatchSampler | None = None):
+    def __init__(self, model: Model, data: Dataset, sampler: MinibatchSampler | None = None,
+                 seeds=None):
         if sampler is None and not self.full_batch:
             raise ValueError(f"{self.name} needs a minibatch sampler, got None")
         self.model, self.data, self.sampler = model, data, sampler
@@ -350,15 +356,9 @@ class _Estimator:
         # the run's counters and last monitored pass, bound by the driver
         self.counters, self.last_pass = None, _LastPass()
 
-    @classmethod
-    def seeded(cls, model, data, sampler, seeds):
-        """An instance whose extra random stream, if any, is seeded by ``seeds(tag)``."""
-        return cls(model, data, sampler)
-
-    @classmethod
-    def _seed(cls, seeds, tag):
+    def _seed(self, seeds, tag):
         if seeds is None:
-            raise ValueError(f"{cls.name} needs a seed stream, got None")
+            raise ValueError(f"{self.name} needs a seed stream, got None")
         return seeds(tag)
 
     # the oracles, charged to the run and looked up at call time; a call at
@@ -373,8 +373,9 @@ class _Estimator:
     def _mean(self, batch, params):
         return minibatch_stats(self.model, self.data, batch, params, self.counters)
 
-    def batch(self) -> np.ndarray:
-        return np.sort(self.sampler.sample(self.data.n))
+    def batch(self, sampler: MinibatchSampler | None = None) -> np.ndarray:
+        """The next batch of ``sampler`` (default: the method's), sorted."""
+        return np.sort((self.sampler if sampler is None else sampler).sample(self.data.n))
 
     def refit(self, s: np.ndarray) -> np.ndarray:
         """Full pass at ``s``, which becomes the reference point; returns the
@@ -451,23 +452,18 @@ class _StoreCv(_Store):
     """FIEM: refresh the store on one batch, then step along a second,
     independent batch's refit average corrected by ``store mean - store
     batch mean``, which keeps the step unbiased for the exact mean field.
-    The second batch stream is seeded by ``seeds(1)``."""
+    The second batch stream takes its seed from ``seeds(1)``."""
 
     name, passes, warm, unit_step = "fiem", 2, True, False
 
-    def __init__(self, model, data, sampler, sampler_extra: MinibatchSampler):
+    def __init__(self, model, data, sampler=None, seeds=None):
         super().__init__(model, data, sampler)
-        self.sampler_extra = sampler_extra
-
-    @classmethod
-    def seeded(cls, model, data, sampler, seeds):
-        # without a sampler, __init__ raises before any seed is drawn
-        return cls(model, data, sampler, None if sampler is None else MinibatchSampler(
-            sampler.batch_size, cls._seed(seeds, _EXTRA_STREAM_TAG), mode=sampler.mode))
+        self.sampler_extra = MinibatchSampler(
+            sampler.batch_size, self._seed(seeds, _EXTRA_STREAM_TAG), mode=sampler.mode)
 
     def direction(self, s):
         params = self._refresh(s)
-        batch2 = np.sort(self.sampler_extra.sample(self.data.n))
+        batch2 = self.batch(self.sampler_extra)
         cv = self.store.mean - self.store.batch_mean(batch2)
         return self._mean(batch2, params) - s + cv
 
@@ -524,19 +520,14 @@ class _Restart(_PathIntegrated):
     """SPIDER-EM restarted after a uniformly random 1 to k_in - 1 inner steps.
 
     Each restart keeps the last iterate and refits there, with no damped
-    step.  ``rng``, seeded by ``seeds(2)``, drives only the inner-length
+    step.  ``rng``, with seed ``seeds(2)``, drives only the inner-length
     draws, which the trace keeps as ``xi``."""
 
     name, refresh = "spider-em-pl", "restart"
 
-    def __init__(self, model, data, sampler, rng):
+    def __init__(self, model, data, sampler=None, seeds=None):
         super().__init__(model, data, sampler)
-        self.rng = rng
-
-    @classmethod
-    def seeded(cls, model, data, sampler, seeds):
-        return cls(model, data, sampler,
-                   np.random.default_rng(cls._seed(seeds, _RESTART_STREAM_TAG)))
+        self.rng = np.random.default_rng(self._seed(seeds, _RESTART_STREAM_TAG))
 
     def inner_lengths(self, k_max, k_in, k_out, xi):
         for _ in range(k_out):
@@ -572,12 +563,13 @@ def _run(est: _Estimator, s_init, schedule, record: dict, *, k_max=None, k_in=No
     with the method's phase, which starts from its last iterate."""
     if est.refresh is None:
         k_in = k_out = None
+        bounds = [("k_max", k_max, 0)]
     else:
         k_max = None
-        if k_in < 2:
-            raise ValueError("k_in must be at least 2")
-    if warm_epochs < 0:
-        raise ValueError("warm_epochs must be >= 0")
+        bounds = [("k_in", k_in, 2), ("k_out", k_out, 0)]
+    for key, value, low in bounds + [("warm_epochs", warm_epochs, 0)]:
+        if value is None or value < low:
+            raise ValueError(f"{est.name} needs {key} >= {low}, got {value!r}")
     warm = _Online(est.model, est.data, est.sampler) if warm_epochs else None
     # a unit-step method runs at step 1, after a warm phase on the schedule
     for phase in filter(None, (warm, est)):
@@ -663,12 +655,13 @@ def run_algorithm(name: str, model: Model, data: Dataset, s_init,
                   k_in=None, k_out=None, outer_gamma=None, warm_epochs: int = 0,
                   **record) -> RunTrace:
     """Run the method registered as ``name`` in :data:`ESTIMATORS`, the one
-    entry point: ``run_algorithm("em", model, data, s0, k_max=100)``.
+    entry point: ``run_algorithm("em", model, data, s0, k_max=100)``.  It
+    builds the method as ``ESTIMATORS[name](model, data, sampler, seeds)``.
 
     ``sampler`` draws the batches of every method but EM.  A flat method
-    runs ``k_max`` updates, a nested one ``k_out`` outer loops of ``k_in``,
-    a damped one with refresh step ``outer_gamma`` (default: the
-    schedule's).  EM and iEM (``unit_step``) run at step 1; any other
+    runs ``k_max >= 0`` updates, a nested one ``k_out >= 0`` outer loops of
+    ``k_in >= 2``, a damped one with refresh step ``outer_gamma`` (default:
+    the schedule's).  EM and iEM (``unit_step``) run at step 1; any other
     method, and a warm phase, needs a ``schedule``.  ``seeds(tag)`` seeds a
     method's extra random stream; ``record`` takes :class:`_Recorder`'s
     keywords.  A bad argument raises before the model is first called; a
@@ -682,7 +675,7 @@ def run_algorithm(name: str, model: Model, data: Dataset, s_init,
     ``online-em``."""
     if name not in ESTIMATORS:
         raise ValueError(f"unknown method {name!r}; registered: {', '.join(ESTIMATORS)}")
-    est = ESTIMATORS[name].seeded(model, data, sampler, seeds)
+    est = ESTIMATORS[name](model, data, sampler, seeds)
     return _run(est, s_init, schedule, record, k_max=k_max, k_in=k_in, k_out=k_out,
                 outer_gamma=outer_gamma, warm_epochs=warm_epochs)
 

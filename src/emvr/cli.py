@@ -29,8 +29,9 @@ def _cmd_run(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     if args.out:
         cfg.out_dir = args.out
-    if args.jobs:
+    if args.jobs is not None:
         cfg.jobs = args.jobs
+    validate_config(cfg)
     summary = run_experiment(cfg, progress=_progress(args))
     print(f"wrote {len(summary['statuses'])} traces to {summary['out_dir']} "
           f"(divergence rate {summary['divergence_rate']:.2f})")

@@ -41,7 +41,7 @@ def gen_scalar_mixture(n: int, weights=(0.2, 0.8), means=(0.5, -0.5),
 def gen_multivariate_mixture(n: int, g: int, p: int, separation: float,
                              seed=0) -> Dataset:
     """Equal-weight Gaussians with identity covariance and means of norm
-    ``separation`` in seeded random directions on the sphere."""
+    ``separation`` in random directions on the sphere drawn from ``seed``."""
     if g < 1 or p < 1:
         raise ValueError("need g >= 1 and p >= 1")
     if separation < 0:

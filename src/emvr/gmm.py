@@ -458,7 +458,7 @@ def scalar2_m_step(s: np.ndarray) -> ScalarTwoGmmParams:
 
 
 def init_random_responsibility(model: Model, data: Dataset, seed) -> np.ndarray:
-    """Starting statistics from a seeded random soft-assignment matrix.
+    """Starting statistics from a random soft-assignment matrix drawn from ``seed``.
 
     Draws one Dirichlet(1, ..., 1) responsibility row per observation and
     averages the implied per-sample statistics, which lands in the
@@ -495,7 +495,7 @@ def _nearest_center(xc: np.ndarray, centers: np.ndarray, center: np.ndarray) -> 
 
 
 def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.ndarray:
-    """Starting statistics from seeded k-means-style hard clustering.
+    """Starting statistics from k-means-style hard clustering with ``seed``.
 
     Picks g distinct rows as centers, runs ``n_iter >= 1`` Lloyd iterations, fits
     weights/means/pooled covariance to the hard assignment and maps the

@@ -186,8 +186,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if value not in allowed:
             raise ConfigError(f"[run] {key} must be {', '.join(allowed[:-1])} or "
                               f"{allowed[-1]}, got {value!r}")
-    if not cfg.algorithms:
-        raise ConfigError("[run] algorithms must not be empty")
+    for key, low in (("batch_size", 1), ("k_in", 2), ("k_out", 0), ("k_max", 0),
+                     ("epochs", 0), ("warm_epochs", 0), ("jobs", 1)):
+        value = getattr(cfg, key)
+        if value is not None and value < low:
+            raise ConfigError(f"[run] {key} must be >= {low}, got {value}")
+    for key in ("algorithms", "seeds"):
+        values = getattr(cfg, key)
+        if not values:
+            raise ConfigError(f"[run] {key} must not be empty")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"[run] {key} repeats an entry: {' '.join(map(str, values))}")
     for algo in cfg.algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"[run] unknown algorithm {algo!r}")
@@ -204,10 +213,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"[run] {algo} needs batch_size")
     if cfg.k_in is not None and all(a not in NESTED for a in cfg.algorithms):
         raise ConfigError("[run] k_in given but no nested-loop algorithm requested")
-    if not cfg.seeds:
-        raise ConfigError("[run] seeds must not be empty")
-    if cfg.warm_epochs < 0:
-        raise ConfigError("[run] warm_epochs must be >= 0")
     if (cfg.epochs is not None and cfg.warm_epochs > cfg.epochs
             and any(ESTIMATORS[a].warm for a in cfg.algorithms)):
         raise ConfigError(f"[run] warm_epochs = {cfg.warm_epochs} exceeds "
@@ -273,19 +278,13 @@ def initial_stats(cfg: ExperimentConfig, model, data: Dataset) -> np.ndarray:
     raise ConfigError(f"[init] unknown kind {cfg.init_kind!r}")
 
 
-def _estimator(algo: str):
-    if algo not in ESTIMATORS:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    return ESTIMATORS[algo]
-
-
 def _updates_per_epoch(algo: str, n: int, b: int | None) -> int:
-    return updates_per_epoch(n, n if _estimator(algo).full_batch else b or n)
+    return updates_per_epoch(n, n if ESTIMATORS[algo].full_batch else b or n)
 
 
 def _derived_lengths(cfg: ExperimentConfig, algo: str, n: int):
     """(k_max, k_in, k_out, warm) for one algorithm, honoring the epoch budget."""
-    warm = cfg.warm_epochs if _estimator(algo).warm else 0
+    warm = cfg.warm_epochs if ESTIMATORS[algo].warm else 0
     if cfg.epochs is None:
         return cfg.k_max, cfg.k_in, cfg.k_out, warm
     per_epoch = _updates_per_epoch(algo, n, cfg.batch_size)
@@ -421,7 +420,7 @@ def expected_totals(algorithm: str, n: int, b: int | None = None,
     k_in - 1 inner updates at 2b each and one refresh at n.  The restart
     variant replaces k_in - 1 by its realized inner lengths ``xi``.
     """
-    est = _estimator(algorithm)
+    est = ESTIMATORS[algorithm]
     update_ce = est.passes * (n if est.full_batch else b)
     if est.refresh is None:
         return n + update_ce * k_max, 1 + k_max
@@ -472,7 +471,8 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
     every update and stop at the first crossing of ``epsilon``; trials that
     never hit within ``max_epochs`` data passes are excluded from the
     medians and reported through the hit rate.  ``batch_size``/``k_in``
-    left unset follow the ceil(sqrt(n)/20) and ceil(n/b) rules.
+    left unset follow the ceil(sqrt(n)/20) and ceil(n/b) rules.  Each
+    size's settings pass :func:`validate_config` before its data is drawn.
     """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
@@ -483,12 +483,13 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
     for n in n_grid:
         b = cfg.batch_size if cfg.batch_size is not None else paper_batch_size(n)
         k_in = cfg.k_in if cfg.k_in is not None else math.ceil(n / b)
-        # the driver reads k_max for a flat method and k_out for a nested one
-        k_out = max(1, math.ceil(max_epochs / 2))
-        k_max = max_epochs * _updates_per_epoch(algo, n, b)
-        sub = replace(cfg, n=n, batch_size=b, k_in=k_in, k_out=k_out, k_max=k_max,
+        sub = replace(cfg, n=n, batch_size=b, k_in=k_in if algo in NESTED else None,
+                      k_out=max(1, math.ceil(max_epochs / 2)), k_max=max_epochs,
                       epochs=None, epsilon=epsilon, metric="update", snapshot="none",
                       warm_epochs=0, algorithms=(algo,))
+        validate_config(sub)
+        # the driver reads k_max for a flat method and k_out for a nested one
+        sub.k_max = max_epochs * _updates_per_epoch(algo, n, b)
         data = build_dataset(sub)
         model = build_model(sub, data)
         s_init = initial_stats(sub, model, data)

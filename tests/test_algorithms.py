@@ -4,10 +4,12 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from emvr import (WITHOUT_REPLACEMENT, Dataset, MinibatchSampler, Model,
-                  OracleCounters, PerSampleStatStore, PooledGmm,
+from emvr import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
+                  MinibatchSampler, Model, OracleCounters, PerSampleStatStore, PooledGmm,
                   ScalarTwoGmm, ScalarTwoGmmParams,
                   StepSchedule, full_stats, mean_field, minibatch_stats,
                   randomized_terminate, run_algorithm, theoretical_step_size)
@@ -504,7 +506,8 @@ class TestSpiderEmPl:
         spider = run_algorithm("spider-em", model, data, s0, MinibatchSampler(4, seed=31),
                                StepSchedule.constant(0.3), k_out=2, k_in=5, **kw)
         est = ESTIMATORS["spider-em-pl"](model, data, MinibatchSampler(4, seed=31),
-                                         _ForcedRng(4))
+                                         lambda tag: 0)
+        est.rng = _ForcedRng(4)
         pl = _run(est, s0, StepSchedule.constant(0.3), kw, k_in=5, k_out=2)
         sp, pp = spider.snapshot_map(), pl.snapshot_map()
         # identical inner iterates through the whole first outer loop
@@ -730,6 +733,26 @@ class TestMissingSampler:
                 run_algorithm(name, model, data, s0, smp, StepSchedule.constant(0.2),
                               **lengths)
 
+    def test_missing_or_bad_run_length_rejected_before_any_oracle_call(self):
+        model, data, s0 = overlapping_scalar()
+        smp, gamma = MinibatchSampler(4, 1), StepSchedule.constant(0.2)
+        for name, est in ESTIMATORS.items():
+            bad = ([({}, "k_max >= 0, got None"), (dict(k_max=-3), "k_max >= 0, got -3")]
+                   if est.refresh is None else
+                   [(dict(k_out=2), "k_in >= 2, got None"),
+                    (dict(k_in=1, k_out=2), "k_in >= 2, got 1"),
+                    (dict(k_in=3), "k_out >= 0, got None"),
+                    (dict(k_in=3, k_out=-1), "k_out >= 0, got -1")])
+            for lengths, message in bad:
+                with pytest.raises(ValueError, match=f"^{name} needs {message}$"):
+                    run_algorithm(name, OracleGuard(), data, s0, smp, gamma,
+                                  lambda tag: tag, **lengths)
+            # no updates, or no outer loops, is a run of the initial refit alone
+            trace = run_algorithm(name, model, data, s0, smp, gamma, lambda tag: tag,
+                                  k_max=0, k_in=2, k_out=0, metric_mode="none")
+            assert (trace.status, trace.counters.ce, trace.counters.mstep) == (
+                "completed", data.n, 1)
+
     def test_unknown_method_lists_the_registry(self):
         _, data, s0 = overlapping_scalar()
         registered = re.escape(", ".join(ESTIMATORS))
@@ -744,6 +767,41 @@ class TestMissingSampler:
                                   k_max=5, metric_mode="none")
                     for sched in (None, StepSchedule.constant(0.5)))
             assert a.s_final.tobytes() == b.s_final.tobytes()
+
+
+def _outcome(trace: RunTrace):
+    """A trace's bits apart from wall times."""
+    records = [(r.phase, r.t, r.k, r.tau, r.epoch, r.objective, r.h_sq, r.ce, r.mstep)
+               for r in trace.records]
+    return (trace.status, trace.s_final.tobytes(), trace.counters, trace.monitor,
+            trace.xi, records)
+
+
+class TestRegistryProperty:
+    @settings(max_examples=1200, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(ESTIMATORS)), n=st.integers(8, 60),
+           b=st.integers(1, 8), k_max=st.integers(0, 6), k_in=st.integers(2, 6),
+           k_out=st.integers(0, 3), mode=st.sampled_from([WITH_REPLACEMENT,
+                                                          WITHOUT_REPLACEMENT]),
+           gamma=st.floats(0.01, 0.2), seed=st.integers(0, 2**16))
+    def test_every_method_counts_reproduces_and_ignores_the_monitor(
+            self, name, n, b, k_max, k_in, k_out, mode, gamma, seed):
+        model, data, s0 = overlapping_scalar(n=n)
+
+        def go(metric_mode):
+            return run_algorithm(
+                name, model, data, s0, MinibatchSampler(b, seed, mode=mode),
+                StepSchedule.constant(gamma), lambda tag: np.random.SeedSequence([seed, tag]),
+                k_max=k_max, k_in=k_in, k_out=k_out, metric_mode=metric_mode)
+
+        monitored, again, quiet = go("epoch"), go("epoch"), go("none")
+        assert monitored.status == "completed"
+        assert (monitored.counters.ce, monitored.counters.mstep) == expected_totals(
+            name, n, b=b, k_in=k_in, k_out=k_out, k_max=k_max, xi=monitored.xi)
+        # the monitor costs its own counter only and leaves the trajectory alone
+        assert (quiet.counters, quiet.xi, quiet.s_final.tobytes()) == (
+            monitored.counters, monitored.xi, monitored.s_final.tobytes())
+        assert _outcome(again) == _outcome(monitored)
 
 
 class TestDeterminismAndDivergence:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_batch_em_in_statistic_space", "02_minibatch_methods",
-         "03_control_variate_equivalence", "06_restart_variant_and_step_sizes")
+         "03_control_variate_equivalence", "04_hitting_time_scaling",
+         "05_preprocessing_pipeline", "06_restart_variant_and_step_sizes")
 
 
 def test_demos_and_readme_quick_tour_run(capsys):

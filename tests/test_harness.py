@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,6 +151,38 @@ outer_gamma = 0.75
             parse_config("[run]\nalgorithms = em\nk_max = 5\nk_in = 4\n")
         with pytest.raises(ConfigError, match="unknown algorithm"):
             parse_config("[run]\nalgorithms = wizard\nk_max = 5\n")
+
+    @pytest.mark.parametrize("body, message", [
+        ("algorithms = online-em\nbatch_size = 0\nk_max = 3",
+         "batch_size must be >= 1, got 0"),
+        ("algorithms = spider-em\nbatch_size = 4\nk_in = 1\nk_out = 2",
+         "k_in must be >= 2, got 1"),
+        ("algorithms = spider-em\nbatch_size = 4\nk_in = 3\nk_out = -1",
+         "k_out must be >= 0, got -1"),
+        ("algorithms = em\nk_max = -3", "k_max must be >= 0, got -3"),
+        ("algorithms = em\nepochs = -2", "epochs must be >= 0, got -2"),
+        ("algorithms = em\nk_max = 3\njobs = 0", "jobs must be >= 1, got 0"),
+        ("algorithms = em\nk_max = 3\nseeds = 0 0", "seeds repeats an entry: 0 0"),
+        ("algorithms = em em\nk_max = 3", "algorithms repeats an entry: em em"),
+    ])
+    def test_run_settings_are_checked_before_any_run(self, tmp_path, body, message):
+        # a bad length, batch size, job count or repeat is a config error
+        # before the output directory exists
+        with pytest.raises(ConfigError, match=rf"^\[run\] {message}$"):
+            parse_config(f"[run]\n{body}\n")
+        out = tmp_path / "runs"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[run]\n{body}\nout_dir = {out}\n")
+        assert cli_main(["run", "--config", str(bad)]) == 1
+        assert not out.exists()
+
+    def test_job_count_from_the_command_line_is_checked(self, tmp_path):
+        out = tmp_path / "runs"
+        cfg = tmp_path / "good.cfg"
+        cfg.write_text(GOOD_CONFIG.format(out=out))
+        for jobs in ("0", "-2"):
+            assert cli_main(["run", "--config", str(cfg), "--jobs", jobs]) == 1
+        assert not out.exists()
 
     def test_hash_stability(self, tmp_path):
         a = parse_config(GOOD_CONFIG.format(out=tmp_path))
@@ -375,6 +408,8 @@ class TestComplexity:
             estimate_complexity(cfg, -1.0, [100], trials=2)
         with pytest.raises(ConfigError):
             estimate_complexity(cfg, 1.0, [100], trials=0)
+        with pytest.raises(ConfigError, match="unknown algorithm 'wizard'"):
+            estimate_complexity(replace(cfg, algorithms=("wizard",)), 1.0, [100], trials=2)
 
 
 class TestQuantiles:
@@ -459,6 +494,9 @@ class TestCli:
                          "--trials", "2", "--epsilon", "1e30",
                          "--out", str(tmp_path / "cx"), "--quiet"]) == 0
         assert (tmp_path / "cx" / "complexity_summary.csv").exists()
+        assert cli_main(["complexity", "--algo", "wizard", "--n", "200",
+                         "--out", str(tmp_path / "cx2")]) == 1
+        assert not (tmp_path / "cx2").exists()
 
     def test_compare_smoke(self, tmp_path, capsys):
         assert cli_main(["compare", "--algos", "online-em,spider-em", "--epochs", "6",
