@@ -32,14 +32,19 @@ folded into one scale when v is a power of two; a full pass reads the data sum
 cached on the dataset, and softplus only enters the likelihood.  Halving and
 negation are exact, so the scalar kernel keeps the bits of the ``2y - mu1 - mu2``
 form while no step overflows or leaves the normal range.
+
+Footprint: the module imports numpy only.  scipy's LAPACK (``dtrtri``, the
+covariance factor's inverse) is imported by :func:`_dtrtri` when the first
+:class:`PooledGmm` is built, or a standalone :class:`GmmParams` first needs the
+inverse, so a scalar run never loads it (~150 ms and ~25 MB resident).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .core import Dataset, DomainError, Model, _split_point, _split_rows, full_stats
 
@@ -129,11 +134,19 @@ class ScalarTwoGmmParams:
         object.__setattr__(self, "mu", mu)
 
 
+@cache
+def _dtrtri():
+    """LAPACK's triangular inverse from scipy, imported on the first call: only the
+    pooled model needs it, and the import costs ~150 ms and ~25 MB resident."""
+    from scipy.linalg.lapack import dtrtri
+    return dtrtri
+
+
 def _chol_inv(params: GmmParams) -> np.ndarray:
     """Lower-triangular inverse of the covariance factor, cached per instance."""
     li = params.__dict__.get("_chol_inv")
     if li is None:
-        li, _ = dtrtri(params.cov_chol, lower=1)   # the diagonal is positive
+        li, _ = _dtrtri()(params.cov_chol, lower=1)   # the diagonal is positive
         object.__setattr__(params, "_chol_inv", li)
     return li
 
@@ -281,6 +294,7 @@ class PooledGmm(Model):
         self.p = int(dim)
         self.second_moment = second_moment
         self.include_norm_const = include_norm_const
+        _dtrtri()   # load LAPACK with the model, not in its first M-step
 
     @classmethod
     def from_data(cls, n_components: int, data: Dataset,

@@ -7,6 +7,11 @@ runs had (numpy, scipy and BLAS versions, BLAS threads, split passes).
 Trace CSVs use a fixed column schema (epoch, t, k, tau, W, h_sq_norm,
 ce_count, mstep_count, wall_ms, status); wall_ms is the only column allowed
 to vary between repetitions.
+
+Importing the module loads numpy and nothing heavier: ``scipy`` is imported
+where the manifest writes its version, and ``concurrent.futures`` where
+:func:`run_experiment` starts a worker pool.  A pooled grid loads scipy's
+LAPACK in the parent before the pool forks, so the workers share it.
 """
 
 from __future__ import annotations
@@ -14,13 +19,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, core
 from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
@@ -28,7 +31,7 @@ from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    MinibatchSampler, _serial_passes, full_stats)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
-from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
+from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams, _dtrtri,
                   init_kmeans, init_random_responsibility)
 
 ALGORITHMS = tuple(ESTIMATORS)
@@ -361,9 +364,13 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
     results = []
-    # the workers use the cores, so each keeps its passes on one thread
-    pool = (ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_serial_passes)
-            if cfg.jobs > 1 else None)
+    pool = None
+    if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        if cfg.model_kind == "gmm":
+            _dtrtri()   # each worker builds a pooled model: load LAPACK once, before the fork
+        # the workers use the cores, so each keeps its passes on one thread
+        pool = ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_serial_passes)
     with pool or nullcontext():
         for res in (pool.map if pool else map)(_run_one_job, jobs):
             results.append(res)
@@ -385,6 +392,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
         summary_rows[0] + "\n" + "\n".join(sorted(summary_rows[1:])) + "\n")
     diverged = sum(1 for v in statuses.values() if v == "diverged")
     rate = diverged / len(statuses)
+    import scipy   # for its version only: a scalar run loads no scipy before this
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     manifest = [f"emvr version = {__version__}",
                 f"config hash = {config_hash(cfg)}",
@@ -444,7 +452,8 @@ class ComplexityEstimate:
     def summary_csv(self) -> str:
         lines = ["n,b,k_in,trials,hits,hit_rate,kopt_median,kce_median"]
         for r in self.rows:
-            lines.append(f"{r['n']},{r['b']},{r['k_in']},{r['trials']},{r['hits']},"
+            k_in = "" if r["k_in"] is None else r["k_in"]   # a flat method has none
+            lines.append(f"{r['n']},{r['b']},{k_in},{r['trials']},{r['hits']},"
                          f"{repr(r['hit_rate'])},{repr(r['kopt_median'])},"
                          f"{repr(r['kce_median'])}")
         return "\n".join(lines) + "\n"
@@ -471,7 +480,8 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
     every update and stop at the first crossing of ``epsilon``; trials that
     never hit within ``max_epochs`` data passes are excluded from the
     medians and reported through the hit rate.  ``batch_size``/``k_in``
-    left unset follow the ceil(sqrt(n)/20) and ceil(n/b) rules.  Each
+    left unset follow the ceil(sqrt(n)/20) and ceil(n/b) rules; a flat method
+    has no ``k_in``, and its summary cell is empty.  Each
     size's settings pass :func:`validate_config` before its data is drawn.
     """
     if epsilon <= 0:
@@ -482,8 +492,10 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
     est = ComplexityEstimate(algorithm=algo, epsilon=epsilon)
     for n in n_grid:
         b = cfg.batch_size if cfg.batch_size is not None else paper_batch_size(n)
-        k_in = cfg.k_in if cfg.k_in is not None else math.ceil(n / b)
-        sub = replace(cfg, n=n, batch_size=b, k_in=k_in if algo in NESTED else None,
+        k_in = None
+        if algo in NESTED:
+            k_in = cfg.k_in if cfg.k_in is not None else math.ceil(n / b)
+        sub = replace(cfg, n=n, batch_size=b, k_in=k_in,
                       k_out=max(1, math.ceil(max_epochs / 2)), k_max=max_epochs,
                       epochs=None, epsilon=epsilon, metric="update", snapshot="none",
                       warm_epochs=0, algorithms=(algo,))

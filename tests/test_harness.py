@@ -498,6 +498,35 @@ class TestCli:
                          "--out", str(tmp_path / "cx2")]) == 1
         assert not (tmp_path / "cx2").exists()
 
+    def test_complexity_leaves_k_in_empty_for_a_flat_method(self, tmp_path, capsys):
+        for algo, k_in in (("online-em", ""), ("spider-em", "200")):
+            out = tmp_path / algo
+            assert cli_main(["complexity", "--algo", algo, "--n", "200", "--trials", "1",
+                             "--epsilon", "1e30", "--out", str(out), "--quiet"]) == 0
+            header, row = (out / "complexity_summary.csv").read_text().splitlines()
+            assert header.split(",")[:3] == ["n", "b", "k_in"]
+            assert row.split(",")[:3] == ["200", "1", k_in]
+
+    @pytest.mark.parametrize("init, warns", [("random-responsibility", True),
+                                             ("kmeans", False)])
+    def test_compare_warns_on_a_start_with_coincident_means(self, tmp_path, capsys,
+                                                            init, warns):
+        # the variance-reduction bundle's size, where a random-responsibility
+        # start's means lie within 0.03 of the data's RMS spread of one another
+        assert cli_main(["compare", "--algos", "em", "--epochs", "1", "--seeds", "2",
+                         "--n", "5000", "--components", "12", "--dim", "20",
+                         "--init", init, "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+        err = capsys.readouterr().err
+        assert ("--init kmeans" in err) == warns, err
+
+    def test_compare_needs_two_seeds_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert cli_main(["compare", "--algos", "em", "--epochs", "1", "--seeds", "1",
+                         "--n", "200", "--components", "2", "--dim", "2",
+                         "--out", str(out), "--quiet"]) == 1
+        assert "--seeds must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_smoke(self, tmp_path, capsys):
         assert cli_main(["compare", "--algos", "online-em,spider-em", "--epochs", "6",
                          "--seeds", "2", "--n", "400", "--components", "3",
