@@ -16,8 +16,7 @@ from .algorithms import (PerSampleStatStore, RunTrace, StepSchedule,
                          TraceRecord, randomized_terminate, run_algorithm,
                          theoretical_step_size)
 from .gmm import (GmmParams, PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams,
-                  gmm_m_step, gmm_phi, gmm_posterior, init_kmeans,
-                  init_random_responsibility, load_params, save_params,
+                  gmm_m_step, gmm_phi, init_kmeans, init_random_responsibility,
                   scalar2_m_step)
 from .data import (PcaTransform, gen_multivariate_mixture, gen_scalar_mixture,
                    load_dataset, pca_apply, pca_fit, remove_constant_features,

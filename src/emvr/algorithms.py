@@ -49,19 +49,16 @@ SNAPSHOT_MODES = ("none", "checkpoint", "every-update")
 class StepSchedule:
     """Positive step sizes gamma_1, gamma_2, ... indexed by update number."""
 
-    def __init__(self, kind: str, value):
+    def __init__(self, kind: str, value: float):
         self.kind = kind
         self.value = value
+        # the negated forms reject nan too
         if kind == "constant":
-            if value < 0:
-                raise ValueError("constant step size must be nonnegative")
+            if not value >= 0:
+                raise ValueError(f"constant step size must be nonnegative, got {value}")
         elif kind == "inverse-sqrt":
-            if value <= 0:
-                raise ValueError("inverse-sqrt coefficient must be positive")
-        elif kind == "table":
-            self.value = np.asarray(value, dtype=np.float64)
-            if self.value.ndim != 1 or (self.value < 0).any():
-                raise ValueError("step table must be 1-d and nonnegative")
+            if not value > 0:
+                raise ValueError(f"inverse-sqrt coefficient must be positive, got {value}")
         else:
             raise ValueError(f"unknown schedule kind {kind!r}")
 
@@ -74,20 +71,12 @@ class StepSchedule:
         """gamma_k = c / sqrt(k)."""
         return cls("inverse-sqrt", float(c))
 
-    @classmethod
-    def from_table(cls, values) -> "StepSchedule":
-        return cls("table", values)
-
     def __call__(self, k: int) -> float:
         if k < 1:
             raise ValueError("step index starts at 1")
         if self.kind == "constant":
             return self.value
-        if self.kind == "inverse-sqrt":
-            return self.value / np.sqrt(k)
-        if k > self.value.size:
-            raise ValueError(f"step table exhausted at k={k}")
-        return float(self.value[k - 1])
+        return self.value / np.sqrt(k)
 
 
 def theoretical_step_size(L: float, v_min: float, v_max: float, L_grad_w: float,
@@ -101,7 +90,7 @@ def theoretical_step_size(L: float, v_min: float, v_max: float, L_grad_w: float,
     """
     for name, val in [("L", L), ("v_min", v_min), ("v_max", v_max),
                       ("L_grad_w", L_grad_w), ("k_in", k_in), ("b", b)]:
-        if val <= 0:
+        if not val > 0:   # rejects nan too
             raise ValueError(f"{name} must be positive, got {val}")
     mu_star = v_max * np.sqrt(k_in / b) + L_grad_w / (2.0 * L)
     alpha_star = v_min / (2.0 * mu_star)

@@ -3,7 +3,7 @@
 Subcommands: ``run`` (one config), ``complexity`` (hitting-time scaling
 study), ``compare`` (algorithm grid plus cross-seed quantiles),
 ``gen-data`` (write a synthetic dataset) and ``check`` (built-in invariant
-suites).  Exit codes: 0 ok, 1 config error, 2 divergence threshold
+suites).  Exit codes: 0 ok, 1 config or usage error, 2 divergence threshold
 exceeded, 3 check failure.
 """
 
@@ -32,7 +32,11 @@ COINCIDENT_MEANS = 0.1
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    try:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
+    cfg = parse_config(text)
     if args.out:
         cfg.out_dir = args.out
     if args.jobs is not None:
@@ -56,7 +60,10 @@ def _progress(args):
 def _cmd_complexity(args) -> int:
     cfg = ExperimentConfig(algorithms=(args.algo,), gamma=args.gamma,
                            data_seed=args.data_seed)
-    n_grid = [int(v) for v in args.n.split(",")]
+    try:
+        n_grid = [int(v) for v in args.n.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}") from None
     est = estimate_complexity(cfg, args.epsilon, n_grid, args.trials,
                               max_epochs=args.max_epochs,
                               progress=None if args.quiet else
@@ -117,6 +124,11 @@ def _start_means_spread(cfg: ExperimentConfig) -> float:
 
 
 def _cmd_gen_data(args) -> int:
+    for name in ("n", "components", "dim"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    if not args.separation >= 0:
+        raise ConfigError(f"--separation must be >= 0, got {args.separation}")
     if args.kind == "scalar":
         data = gen_scalar_mixture(args.n, seed=args.seed)
     else:
@@ -196,9 +208,17 @@ def _cmd_check(args) -> int:
     return EX_CHECK if failed else EX_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EX_CONFIG`` on a usage error: argparse's 2 is ``EX_DIVERGED`` here.
+    Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="emvr",
-                                 description="statistic-space EM experiment harness")
+    ap = _Parser(prog="emvr", description="statistic-space EM experiment harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute one experiment config")
@@ -262,10 +282,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EX_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
 

@@ -52,9 +52,6 @@ class OracleCounters:
     ce: int = 0
     mstep: int = 0
 
-    def copy(self) -> "OracleCounters":
-        return OracleCounters(self.ce, self.mstep)
-
 
 class Dataset:
     """Immutable observation matrix with a cached second moment.

@@ -99,7 +99,7 @@ def pca_apply(transform: PcaTransform, data: Dataset) -> Dataset:
     return Dataset(proj, provenance=data.provenance + "|pca", labels=data.labels)
 
 
-def save_dataset(data: Dataset, path, fmt: str = "csv", header: bool = False) -> None:
+def save_dataset(data: Dataset, path, fmt: str = "csv") -> None:
     """Write observations as CSV or as the packed binary format.
 
     Binary layout: magic ``EMDS``, little-endian u64 n and d, then n*d
@@ -107,8 +107,6 @@ def save_dataset(data: Dataset, path, fmt: str = "csv", header: bool = False) ->
     """
     if fmt == "csv":
         with open(path, "w") as fh:
-            if header:
-                fh.write(",".join(f"x{j}" for j in range(data.dim)) + "\n")
             for row in data.values:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
     elif fmt == "packed-binary":
@@ -120,7 +118,7 @@ def save_dataset(data: Dataset, path, fmt: str = "csv", header: bool = False) ->
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def load_dataset(path, fmt: str = "csv", header: bool = False) -> Dataset:
+def load_dataset(path, fmt: str = "csv") -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     CSV parse failures name the offending (row, column), 1-based.
@@ -144,9 +142,7 @@ def load_dataset(path, fmt: str = "csv", header: bool = False) -> Dataset:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()[:12]
-    lines = raw.decode().splitlines()
-    start = 1 if header else 0
-    for lineno, line in enumerate(lines[start:], start + 1):
+    for lineno, line in enumerate(raw.decode().splitlines(), 1):
         if not line.strip():
             continue
         cells = line.split(",")

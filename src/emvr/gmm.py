@@ -11,6 +11,9 @@ Two concrete models:
   and a known common variance; only the two means are fitted.  Its
   statistic vector is ``(mass_1, mass_2, wsum_1, wsum_2)``.
 
+Each model's objective is the mean negative log-likelihood of the data,
+with the Gaussian constant ``(p/2) log 2 pi`` included.
+
 Numerics: every pooled statistic, store row and likelihood comes from one
 component-major E-step pass (:func:`_gmm_pass`), a softmax with max-subtraction
 over ``(g, m)`` logits centred on the data mean (a full pass reads the centred
@@ -116,9 +119,6 @@ class GmmParams:
         li = _chol_inv(self)
         return li.T @ li
 
-    def log_det_cov(self) -> float:
-        return 2.0 * np.log(np.diag(self.cov_chol)).sum()
-
 
 @dataclass(frozen=True)
 class ScalarTwoGmmParams:
@@ -165,11 +165,6 @@ def _logit_terms(params: GmmParams, center: np.ndarray):
         cached = (center, zmu @ li, bias)
         object.__setattr__(params, "_logit_terms", cached)
     return cached[1:]
-
-
-def gmm_posterior(params: GmmParams, y: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities for one observation, from the one pass."""
-    return _gmm_pass(params, Dataset(np.atleast_2d(y)), None)[1][:, 0]   # centred on y
 
 
 def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -283,8 +278,7 @@ class PooledGmm(Model):
     form :func:`gmm_m_step` takes the moment explicitly.
     """
 
-    def __init__(self, n_components: int, dim: int, second_moment: np.ndarray,
-                 include_norm_const: bool = True):
+    def __init__(self, n_components: int, dim: int, second_moment: np.ndarray):
         if n_components < 1 or dim < 1:
             raise ValueError("need n_components >= 1 and dim >= 1")
         second_moment = np.asarray(second_moment, dtype=np.float64)
@@ -293,14 +287,11 @@ class PooledGmm(Model):
         self.g = int(n_components)
         self.p = int(dim)
         self.second_moment = second_moment
-        self.include_norm_const = include_norm_const
         _dtrtri()   # load LAPACK with the model, not in its first M-step
 
     @classmethod
-    def from_data(cls, n_components: int, data: Dataset,
-                  include_norm_const: bool = True) -> "PooledGmm":
-        return cls(n_components, data.dim, data.second_moment,
-                   include_norm_const=include_norm_const)
+    def from_data(cls, n_components: int, data: Dataset) -> "PooledGmm":
+        return cls(n_components, data.dim, data.second_moment)
 
     @property
     def stat_dim(self) -> int:
@@ -340,8 +331,7 @@ class PooledGmm(Model):
         if not want_nll:
             return sbar, float("nan")
         nll = 0.5 * np.sum(params.precision() * data.centred_moment) - lse.mean()  # mean r(y)
-        return sbar, float(nll if self.include_norm_const
-                           else nll - 0.5 * params.dim * _LOG_2PI)
+        return sbar, float(nll)
 
 
 def _logistic(nd: np.ndarray) -> np.ndarray:
@@ -360,8 +350,7 @@ class ScalarTwoGmm(Model):
     variance.
     """
 
-    def __init__(self, weights=(0.2, 0.8), variance: float = 1.0,
-                 include_norm_const: bool = True):
+    def __init__(self, weights=(0.2, 0.8), variance: float = 1.0):
         w1, w2 = float(weights[0]), float(weights[1])
         if w1 <= 0 or w2 <= 0 or abs(w1 + w2 - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
@@ -369,18 +358,15 @@ class ScalarTwoGmm(Model):
             raise ValueError("variance must be positive")
         self.weights = (w1, w2)
         self.variance = float(variance)
-        self.include_norm_const = include_norm_const
         self._log_w_ratio = np.log(w1) - np.log(w2)
         # dividing by a power of two is exact, so (mu1 - mu2) / v folds into one scale
         self._v_pow2 = np.frexp(self.variance)[0] == 0.5
 
     @classmethod
-    def from_data(cls, data: Dataset, weights=(0.2, 0.8), variance: float = 1.0,
-                  include_norm_const: bool = True):
+    def from_data(cls, data: Dataset, weights=(0.2, 0.8), variance: float = 1.0):
         if data.dim != 1:
             raise ValueError("scalar mixture expects 1-d observations")
-        return cls(weights=weights, variance=variance,
-                   include_norm_const=include_norm_const)
+        return cls(weights=weights, variance=variance)
 
     @property
     def stat_dim(self) -> int:
@@ -421,9 +407,7 @@ class ScalarTwoGmm(Model):
             return sbar, float("nan")
         v = self.variance
         l1 = np.log(self.weights[0]) - (y - params.mu[0]) ** 2 / (2.0 * v)
-        nll = -(l1 + sp).mean() + 0.5 * np.log(v)
-        if self.include_norm_const:
-            nll += 0.5 * _LOG_2PI
+        nll = -(l1 + sp).mean() + 0.5 * np.log(v) + 0.5 * _LOG_2PI
         return sbar, float(nll)
 
     def sbar_rows(self, data: Dataset, indices, params: ScalarTwoGmmParams) -> np.ndarray:
@@ -558,47 +542,3 @@ def init_kmeans(model: PooledGmm, data: Dataset, seed, n_iter: int = 10) -> np.n
     params = GmmParams(weights=weights, means=centers, cov_chol=chol)
     return full_stats(model, data, params)
 
-
-def save_params(path, params) -> None:
-    """Write parameters to a flat key-value text file (exact float round-trip)."""
-    lines = []
-    if isinstance(params, GmmParams):
-        lines.append("format = pooled-gmm-v1")
-        lines.append(f"g = {params.n_components}")
-        lines.append(f"p = {params.dim}")
-        lines.append("weights = " + " ".join(repr(float(v)) for v in params.weights))
-        for ell in range(params.n_components):
-            lines.append(f"mean.{ell} = " + " ".join(repr(float(v)) for v in params.means[ell]))
-        for i in range(params.dim):
-            lines.append(f"cov_chol.{i} = " + " ".join(repr(float(v)) for v in params.cov_chol[i]))
-    elif isinstance(params, ScalarTwoGmmParams):
-        lines.append("format = scalar2-v1")
-        lines.append("mu = " + " ".join(repr(float(v)) for v in params.mu))
-    else:
-        raise TypeError(f"cannot serialize {type(params).__name__}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path):
-    """Read parameters written by :func:`save_params`."""
-    fields = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    fmt = fields.get("format")
-    if fmt == "scalar2-v1":
-        return ScalarTwoGmmParams(mu=np.array([float(v) for v in fields["mu"].split()]))
-    if fmt != "pooled-gmm-v1":
-        raise ValueError(f"unknown parameter format {fmt!r}")
-    g, p = int(fields["g"]), int(fields["p"])
-    weights = np.array([float(v) for v in fields["weights"].split()])
-    means = np.array([[float(v) for v in fields[f"mean.{ell}"].split()] for ell in range(g)])
-    chol = np.array([[float(v) for v in fields[f"cov_chol.{i}"].split()] for i in range(p)])
-    return GmmParams(weights=weights, means=means, cov_chol=chol)

@@ -77,7 +77,6 @@ class ExperimentConfig:
     sampling: str = WITH_REPLACEMENT
     metric: str = "epoch"                 # epoch | update | none
     snapshot: str = "none"
-    include_norm_const: bool = True
     jobs: int = 1
     max_divergence_rate: float = 0.5
     out_dir: str = "runs"
@@ -111,9 +110,8 @@ _KEYS = {
             "k_out": ("k_out", int), "k_max": ("k_max", int), "epochs": ("epochs", int),
             "epsilon": ("epsilon", float), "warm_epochs": ("warm_epochs", int),
             "sampling": ("sampling", str), "metric": ("metric", str),
-            "snapshot": ("snapshot", str), "include_norm_const": ("include_norm_const", bool),
-            "jobs": ("jobs", int), "max_divergence_rate": ("max_divergence_rate", float),
-            "out_dir": ("out_dir", str)},
+            "snapshot": ("snapshot", str), "jobs": ("jobs", int),
+            "max_divergence_rate": ("max_divergence_rate", float), "out_dir": ("out_dir", str)},
     "steps": {"kind": ("step_kind", str), "gamma": ("gamma", float),
               "coefficient": ("step_coefficient", float),
               "outer_gamma": ("outer_gamma", float)},
@@ -122,13 +120,6 @@ _KEYS = {
 
 def _parse(section: str, key: str, raw: str, kind):
     try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
@@ -183,6 +174,33 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[steps] gamma must be >= 0, got {cfg.gamma!r}")
     if not cfg.step_coefficient > 0:
         raise ConfigError(f"[steps] coefficient must be > 0, got {cfg.step_coefficient!r}")
+    for section, key in (("data", "n"), ("model", "components"), ("model", "dim")):
+        if not getattr(cfg, key) >= 1:
+            raise ConfigError(f"[{section}] {key} must be >= 1, got {getattr(cfg, key)!r}")
+    if not cfg.variance > 0:
+        raise ConfigError(f"[model] variance must be > 0, got {cfg.variance!r}")
+    if not cfg.separation >= 0:
+        raise ConfigError(f"[data] separation must be >= 0, got {cfg.separation!r}")
+    w = cfg.weights
+    if (cfg.model_kind == "scalar2" or cfg.data_kind == "scalar-mixture") and not (
+            len(w) == 2 and w[0] > 0 and w[1] > 0 and abs(w[0] + w[1] - 1.0) <= 1e-12):
+        raise ConfigError("[model] weights must be two positive values summing to 1, "
+                          f"got {' '.join(map(str, w))}")
+    init_means = (0.0, 0.0) if cfg.init_means is None else cfg.init_means
+    for section, means, used in (("data", cfg.means, cfg.data_kind == "scalar-mixture"),
+                                 ("init", init_means, cfg.init_kind == "spread-means")):
+        if used and not (len(means) == 2 and all(map(math.isfinite, means))):
+            raise ConfigError(f"[{section}] means must be two finite values, "
+                              f"got {' '.join(map(str, means))}")
+    if cfg.init_kind not in ("spread-means", "random-responsibility", "kmeans"):
+        raise ConfigError(f"[init] unknown kind {cfg.init_kind!r}")
+    if cfg.data_format not in ("csv", "packed-binary"):
+        raise ConfigError(f"[data] format must be csv or packed-binary, got {cfg.data_format!r}")
+    if cfg.epsilon is not None and not cfg.epsilon > 0:
+        raise ConfigError(f"[run] epsilon must be > 0, got {cfg.epsilon!r}")
+    if not 0 <= cfg.max_divergence_rate <= 1:
+        raise ConfigError(f"[run] max_divergence_rate must be in [0, 1], "
+                          f"got {cfg.max_divergence_rate!r}")
     for key, allowed in (("sampling", (WITH_REPLACEMENT, WITHOUT_REPLACEMENT)),
                          ("metric", METRIC_MODES), ("snapshot", SNAPSHOT_MODES)):
         value = getattr(cfg, key)
@@ -257,10 +275,8 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def build_model(cfg: ExperimentConfig, data: Dataset):
     if cfg.model_kind == "scalar2":
-        return ScalarTwoGmm.from_data(data, weights=cfg.weights, variance=cfg.variance,
-                                      include_norm_const=cfg.include_norm_const)
-    return PooledGmm.from_data(cfg.components, data,
-                               include_norm_const=cfg.include_norm_const)
+        return ScalarTwoGmm.from_data(data, weights=cfg.weights, variance=cfg.variance)
+    return PooledGmm.from_data(cfg.components, data)
 
 
 def initial_stats(cfg: ExperimentConfig, model, data: Dataset) -> np.ndarray:
@@ -488,6 +504,9 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
         raise ConfigError("epsilon must be positive")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    n_grid = list(n_grid)
+    if not all(n >= 1 for n in n_grid):   # before a batch size is derived from n
+        raise ConfigError(f"problem sizes must be >= 1, got {n_grid}")
     algo = cfg.algorithms[0]
     est = ComplexityEstimate(algorithm=algo, epsilon=epsilon)
     for n in n_grid:

@@ -55,14 +55,18 @@ class TestSchedules:
     def test_kinds(self):
         assert StepSchedule.constant(0.3)(5) == 0.3
         assert StepSchedule.inverse_sqrt(2.0)(4) == 1.0
-        table = StepSchedule.from_table([0.5, 0.25])
-        assert table(1) == 0.5 and table(2) == 0.25
+        assert StepSchedule.constant(0.0)(1) == 0.0
         with pytest.raises(ValueError):
-            table(3)
+            StepSchedule.constant(0.3)(0)
         with pytest.raises(ValueError):
-            StepSchedule.constant(-1.0)
+            StepSchedule("table", [0.5, 0.25])
+
+    @pytest.mark.parametrize("make, value", [
+        (StepSchedule.constant, -1.0), (StepSchedule.constant, float("nan")),
+        (StepSchedule.inverse_sqrt, 0.0), (StepSchedule.inverse_sqrt, float("nan"))])
+    def test_rejects_bad_values(self, make, value):
         with pytest.raises(ValueError):
-            StepSchedule.inverse_sqrt(0.0)
+            make(value)
 
     def test_theoretical_step_size(self):
         gamma, mu_star = theoretical_step_size(1.0, 1.0, 1.0, 1.0, k_in=4, b=4)
@@ -77,6 +81,8 @@ class TestSchedules:
         assert all(a > b for a, b in zip(mus, mus[1:]))
         with pytest.raises(ValueError):
             theoretical_step_size(0.0, 1.0, 1.0, 1.0, 4, 4)
+        with pytest.raises(ValueError, match="v_max"):
+            theoretical_step_size(1.0, 1.0, float("nan"), 1.0, 4, 4)
 
 
 class TestEm:

@@ -175,15 +175,6 @@ class TestIo:
         back = load_dataset(path, fmt="packed-binary")
         assert np.array_equal(back.values, data.values)
 
-    def test_csv_header_flag(self, tmp_path):
-        data = Dataset(np.arange(6.0).reshape(3, 2))
-        path = tmp_path / "data.csv"
-        save_dataset(data, path, fmt="csv", header=True)
-        with pytest.raises(ValueError):
-            load_dataset(path, fmt="csv")
-        back = load_dataset(path, fmt="csv", header=True)
-        assert np.array_equal(back.values, data.values)
-
     def test_parse_error_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")

@@ -408,10 +408,11 @@ def test_pooled_cases_reach_their_outcomes(pooled_expected):
 
 
 if __name__ == "__main__":
+    # exits 1 when a scalar hash or a pooled case moved; 0 after --write-pooled
     current = {name: digest(run_case(name)) for name in sorted(CASES)}
-    for name, value in current.items():
-        if value != GOLDEN.get(name):
-            print(f"{name}: {GOLDEN.get(name)} -> {value}")
+    moved = [name for name, value in current.items() if value != GOLDEN.get(name)]
+    for name in moved:
+        print(f"{name}: {GOLDEN.get(name)} -> {current[name]}")
     for name, value in current.items():
         print(f"    {name!r}: {value!r},")
     pooled = {name: _json(pooled_values(run_pooled_case(name))) for name in sorted(POOLED_CASES)}
@@ -421,5 +422,9 @@ if __name__ == "__main__":
         state = ("new" if old is None else "bitwise" if old["hash"] == values["hash"]
                  else f"moved {pooled_deviation(values, old):.2e} (stored {old['hash']})")
         print(f"pooled {name}: {values['hash']} {state}")
+        if state != "bitwise":
+            moved.append(f"pooled {name}")
     if "--write-pooled" in sys.argv[1:]:
         POOLED_FILE.write_text(json.dumps(pooled, indent=1) + "\n")
+    elif moved:
+        sys.exit(1)

@@ -79,7 +79,6 @@ warm_epochs = 2
 sampling = without-replacement
 metric = update
 snapshot = checkpoint
-include_norm_const = false
 jobs = 2
 max_divergence_rate = 0.25
 out_dir = elsewhere
@@ -96,7 +95,7 @@ outer_gamma = 0.75
             init_seed=5, init_means=(0.1, 0.2), algorithms=("online-em", "spider-em"),
             seeds=(1, 2), batch_size=8, k_in=4, k_out=3, k_max=9, epochs=6,
             epsilon=1e-4, warm_epochs=2, sampling="without-replacement",
-            metric="update", snapshot="checkpoint", include_norm_const=False, jobs=2,
+            metric="update", snapshot="checkpoint", jobs=2,
             max_divergence_rate=0.25, out_dir="elsewhere", step_kind="inverse-sqrt",
             gamma=0.5, step_coefficient=2.0, outer_gamma=0.75)
         default = ExperimentConfig()
@@ -173,6 +172,39 @@ outer_gamma = 0.75
         out = tmp_path / "runs"
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"[run]\n{body}\nout_dir = {out}\n")
+        assert cli_main(["run", "--config", str(bad)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("[data]\nn = 0", r"\[data\] n must be >= 1, got 0"),
+        ("[model]\nkind = gmm\ncomponents = 0\n[init]\nkind = kmeans",
+         r"\[model\] components must be >= 1, got 0"),
+        ("[model]\ndim = 0", r"\[model\] dim must be >= 1, got 0"),
+        ("[model]\nvariance = 0", r"\[model\] variance must be > 0"),
+        ("[model]\nvariance = nan", r"\[model\] variance must be > 0"),
+        ("[data]\nseparation = -1", r"\[data\] separation must be >= 0"),
+        ("[model]\nweights = 1.0", r"\[model\] weights must be two positive"),
+        ("[model]\nweights = 0 1", r"\[model\] weights must be two positive"),
+        ("[model]\nweights = 0.3 0.3", r"\[model\] weights must be two positive"),
+        ("[model]\nweights = nan 0.5", r"\[model\] weights must be two positive"),
+        ("[run]\nepsilon = -1", r"\[run\] epsilon must be > 0"),
+        ("[run]\nepsilon = nan", r"\[run\] epsilon must be > 0"),
+        ("[run]\nmax_divergence_rate = nan", r"\[run\] max_divergence_rate must be in"),
+        ("[run]\nmax_divergence_rate = 1.5", r"\[run\] max_divergence_rate must be in"),
+        ("[data]\nmeans = 1", r"\[data\] means must be two finite values"),
+        ("[init]\nmeans = nan 1", r"\[init\] means must be two finite values"),
+        ("[init]\nkind = foo", r"\[init\] unknown kind 'foo'"),
+        ("[data]\nkind = file\npath = x.csv\nformat = foo", r"\[data\] format must be"),
+    ])
+    def test_model_and_data_settings_are_checked_before_any_run(self, body, message):
+        # each of these failed inside the run, or ran and meant nothing
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"{body}\n[run]\nk_max = 3\n")
+
+    def test_a_bad_data_setting_writes_nothing(self, tmp_path):
+        out = tmp_path / "runs"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[data]\nn = 0\n[run]\nk_max = 3\nout_dir = {out}\n")
         assert cli_main(["run", "--config", str(bad)]) == 1
         assert not out.exists()
 
@@ -476,6 +508,28 @@ class TestCli:
         bad.write_text("[run]\nalgorithms = wizard\n")
         assert cli_main(["run", "--config", str(bad)]) == 1
         assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+    def test_usage_error_is_a_config_error(self, capsys):
+        # argparse's own code, 2, means "divergence threshold exceeded" here
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run"])
+        assert exc.value.code == 1
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--n", "0", "--out", "{tmp}/d.csv"], "--n must be >= 1"),
+        (["gen-data", "--kind", "multivariate", "--n", "5", "--dim", "0",
+          "--out", "{tmp}/d.csv"], "--dim must be >= 1"),
+        (["complexity", "--n", "100,abc", "--out", "{tmp}/cx"], "--n must be comma-separated"),
+        (["complexity", "--n", "-5", "--out", "{tmp}/cx"], "problem sizes must be >= 1"),
+        (["run", "--config", "{tmp}"], "cannot read --config"),
+    ])
+    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, argv, message):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())   # no output written
 
     def test_gen_data(self, tmp_path, capsys):
         out = tmp_path / "d.emds"
