@@ -124,6 +124,11 @@ class Dataset:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def __reduce__(self):
+        # a copy is built by the constructor, so it is checked and read-only;
+        # the caches are not sent
+        return Dataset, (self.values, self.provenance, self.labels)
+
     def __repr__(self):
         return f"Dataset(n={self.n}, dim={self.dim}, provenance={self.provenance!r})"
 

@@ -128,6 +128,8 @@ def load_dataset(path, fmt: str = "csv") -> Dataset:
             blob = fh.read()
         if blob[:4] != _MAGIC:
             raise ValueError(f"{path}: bad magic, not a packed dataset")
+        if len(blob) < 20:
+            raise ValueError(f"{path}: truncated header ({len(blob)} of 20 bytes)")
         n, d = struct.unpack("<QQ", blob[4:20])
         expected = 20 + 8 * n * d
         if len(blob) != expected:

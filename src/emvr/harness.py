@@ -9,9 +9,8 @@ ce_count, mstep_count, wall_ms, status); wall_ms is the only column allowed
 to vary between repetitions.
 
 Importing the module loads numpy and nothing heavier: ``scipy`` is imported
-where the manifest writes its version, and ``concurrent.futures`` where
-:func:`run_experiment` starts a worker pool.  A pooled grid loads scipy's
-LAPACK in the parent before the pool forks, so the workers share it.
+where the manifest writes its version, and ``concurrent.futures`` where a
+worker pool starts.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .algorithms import (ESTIMATORS, METRIC_MODES, SNAPSHOT_MODES, RunTrace,
 from .core import (WITH_REPLACEMENT, WITHOUT_REPLACEMENT, Dataset,
                    MinibatchSampler, _serial_passes, full_stats)
 from .data import gen_multivariate_mixture, gen_scalar_mixture, load_dataset
-from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams, _dtrtri,
-                  init_kmeans, init_random_responsibility)
+from .gmm import (PooledGmm, ScalarTwoGmm, ScalarTwoGmmParams, init_kmeans,
+                  init_random_responsibility)
 
 ALGORITHMS = tuple(ESTIMATORS)
 NESTED = tuple(name for name, est in ESTIMATORS.items() if est.refresh)
@@ -270,7 +269,10 @@ def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_kind == "multivariate-mixture":
         return gen_multivariate_mixture(cfg.n, cfg.components, cfg.dim,
                                         cfg.separation, seed=cfg.data_seed + off)
-    return load_dataset(cfg.data_path, fmt=cfg.data_format)
+    try:
+        return load_dataset(cfg.data_path, fmt=cfg.data_format)
+    except (OSError, ValueError) as exc:   # missing, unreadable or malformed
+        raise ConfigError(f"[data] path: {exc}") from None
 
 
 def build_model(cfg: ExperimentConfig, data: Dataset):
@@ -298,7 +300,8 @@ def initial_stats(cfg: ExperimentConfig, model, data: Dataset) -> np.ndarray:
 
 
 def _updates_per_epoch(algo: str, n: int, b: int | None) -> int:
-    return updates_per_epoch(n, n if ESTIMATORS[algo].full_batch else b or n)
+    est = ESTIMATORS.get(algo)   # an unknown name is validate_config's to reject
+    return updates_per_epoch(n, n if est and est.full_batch else b or n)
 
 
 def _derived_lengths(cfg: ExperimentConfig, algo: str, n: int):
@@ -362,36 +365,41 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
 
 
 def _run_one_job(args):
-    cfg, algo, seed = args
-    data = build_dataset(cfg)
-    model = build_model(cfg, data)
-    s_init = initial_stats(cfg, model, data)
-    return algo, seed, run_single(cfg, algo, seed, model, data, s_init)
+    cfg, algo, seed, data, s_init = args
+    return algo, seed, run_single(cfg, algo, seed, build_model(cfg, data), data, s_init)
+
+
+def _run_jobs(cfg: ExperimentConfig, data: Dataset, s_init: np.ndarray, seeds):
+    """``(algorithm, seed, trace)`` for each of the config's algorithms and each seed,
+    in order, each run on ``data`` from ``s_init`` with its own model: serially, or
+    on ``cfg.jobs`` worker processes, each sent its own copy of both."""
+    tasks = [(cfg, algo, seed, data, s_init) for algo in cfg.algorithms for seed in seeds]
+    pool = None
+    if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        # the workers use the cores, so each keeps its passes on one thread
+        pool = ProcessPoolExecutor(min(cfg.jobs, len(tasks)), initializer=_serial_passes)
+    with pool or nullcontext():
+        yield from (pool.map if pool else map)(_run_one_job, tasks)
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
     """Execute the config's (algorithm, seed) grid and write trace CSVs.
 
     Returns a summary dict with per-run statuses and the divergence rate.
-    Every algorithm shares the per-seed minibatch stream; the SAGA-style
-    method draws its second stream from an independent seed sequence.
+    The dataset and start are built once, before ``out_dir`` is made.  Every
+    algorithm shares the per-seed minibatch stream; the SAGA-style method
+    draws its second stream from an independent seed sequence.
     """
+    data = build_dataset(cfg)
+    s_init = initial_stats(cfg, build_model(cfg, data), data)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(cfg, algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
     results = []
-    pool = None
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        if cfg.model_kind == "gmm":
-            _dtrtri()   # each worker builds a pooled model: load LAPACK once, before the fork
-        # the workers use the cores, so each keeps its passes on one thread
-        pool = ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_serial_passes)
-    with pool or nullcontext():
-        for res in (pool.map if pool else map)(_run_one_job, jobs):
-            results.append(res)
-            if progress:
-                progress(res)
+    for res in _run_jobs(cfg, data, s_init, cfg.seeds):
+        results.append(res)
+        if progress:
+            progress(res)
     statuses, reasons = {}, {}
     summary_rows = ["algorithm,seed,status,final_epoch,final_W,final_h_sq_norm,"
                     "ce_count,mstep_count"]
@@ -419,7 +427,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
                 f"blas = {blas['name']} {blas['version']}",
                 f"OPENBLAS_NUM_THREADS = {os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
                 # pool workers keep every pass on one thread
-                f"split passes = {'yes' if core._split_passes and pool is None else 'no'}"]
+                f"split passes = {'yes' if core._split_passes and cfg.jobs == 1 else 'no'}"]
     manifest += [f"trace_{a}_{s}.csv = {st}{reasons.get((a, s), '')}"
                  for (a, s), st in sorted(statuses.items())]
     manifest.append("")
@@ -491,14 +499,15 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
                         max_epochs: int = 500, progress=None) -> ComplexityEstimate:
     """First-hitting-time study over a grid of problem sizes.
 
-    For each n the dataset and starting point are fixed; trials differ in
-    the minibatch stream.  Runs check the squared mean-field norm after
-    every update and stop at the first crossing of ``epsilon``; trials that
-    never hit within ``max_epochs`` data passes are excluded from the
-    medians and reported through the hit rate.  ``batch_size``/``k_in``
-    left unset follow the ceil(sqrt(n)/20) and ceil(n/b) rules; a flat method
-    has no ``k_in``, and its summary cell is empty.  Each
-    size's settings pass :func:`validate_config` before its data is drawn.
+    For each n the dataset and starting point are built once; trials differ
+    in the minibatch stream and run as the runs of :func:`run_experiment`
+    do.  Runs check the squared mean-field norm after every update and stop
+    at the first crossing of ``epsilon``; trials that never hit within
+    ``max_epochs`` data passes are excluded from the medians and reported
+    through the hit rate.  ``batch_size``/``k_in`` left unset follow the
+    ceil(sqrt(n)/20) and ceil(n/b) rules; a flat method has no ``k_in``, and
+    its summary cell is empty.  Each size's settings, with the run lengths
+    that run, pass :func:`validate_config` before its data is drawn.
     """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
@@ -514,19 +523,17 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
         k_in = None
         if algo in NESTED:
             k_in = cfg.k_in if cfg.k_in is not None else math.ceil(n / b)
+        # the driver reads k_max for a flat method and k_out for a nested one
         sub = replace(cfg, n=n, batch_size=b, k_in=k_in,
-                      k_out=max(1, math.ceil(max_epochs / 2)), k_max=max_epochs,
+                      k_out=max(1, math.ceil(max_epochs / 2)),
+                      k_max=max_epochs * _updates_per_epoch(algo, n, b),
                       epochs=None, epsilon=epsilon, metric="update", snapshot="none",
                       warm_epochs=0, algorithms=(algo,))
         validate_config(sub)
-        # the driver reads k_max for a flat method and k_out for a nested one
-        sub.k_max = max_epochs * _updates_per_epoch(algo, n, b)
         data = build_dataset(sub)
-        model = build_model(sub, data)
-        s_init = initial_stats(sub, model, data)
+        s_init = initial_stats(sub, build_model(sub, data), data)
         recs = []
-        for trial in range(trials):
-            trace = run_single(sub, algo, trial, model, data, s_init)
+        for _, trial, trace in _run_jobs(sub, data, s_init, range(trials)):
             if trace.hit is not None:
                 # costs after the initial refit, read at the hit, the last record
                 at_hit = trace.final_record()

@@ -1,4 +1,5 @@
 from functools import partial
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0, np.nan]]))
+
+    def test_pickle_rebuilds_through_the_constructor(self):
+        rng = np.random.default_rng(6)
+        data = Dataset(rng.standard_normal((30, 2)), provenance="drawn", labels=np.arange(30) % 3)
+        data.centred   # a cache is left behind, not sent
+        copy = pickle.loads(pickle.dumps(data))
+        assert copy.values.tobytes() == data.values.tobytes()
+        assert copy.provenance == "drawn"
+        assert np.array_equal(copy.labels, data.labels)
+        assert copy.second_moment.tobytes() == data.second_moment.tobytes()
+        assert "centred" not in vars(copy)
+        for arr in (copy.values, copy.labels, copy.second_moment):
+            assert not arr.flags.writeable
+        assert pickle.loads(pickle.dumps(Dataset(np.ones((2, 1))))).labels is None
 
 
 class TestCheckpointContract:

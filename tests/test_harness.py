@@ -1,10 +1,14 @@
+import errno
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 
+from emvr import data as data_module
+from emvr import harness
 from emvr.cli import main as cli_main
 from emvr.harness import (ConfigError, ExperimentConfig,
                           build_dataset, build_model, canonical_config,
@@ -208,6 +212,41 @@ outer_gamma = 0.75
         assert cli_main(["run", "--config", str(bad)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, content, fmt, message", [
+        ("missing", None, "csv", "No such file or directory"),
+        ("directory", None, "csv", "Is a directory"),
+        ("unreadable", b"1\n2\n", "csv", "Permission denied"),
+        ("non-numeric cell", b"1,2\n3,x\n", "csv", "row 2, column 2: 'x'"),
+        ("not text", b"\xff\xfe1\n", "csv", "can't decode"),
+        ("short header", b"EMDS\x01", "packed-binary", "truncated header"),
+        ("short payload", b"EMDS" + struct.pack("<QQ", 2, 1) + bytes(8), "packed-binary",
+         "truncated payload"),
+    ])
+    def test_a_file_dataset_that_cannot_be_used_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, case, content, fmt, message):
+        path = tmp_path / "data"
+        if case == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        if case == "unreadable":
+            path.chmod(0)
+            if os.access(path, os.R_OK):   # the superuser reads it anyway: refuse it here
+
+                def refuse(file, *args, **kwargs):
+                    raise PermissionError(errno.EACCES, "Permission denied", str(file))
+
+                monkeypatch.setattr(data_module, "open", refuse, raising=False)
+        out = tmp_path / "runs"
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"[data]\nkind = file\npath = {path}\nformat = {fmt}\n"
+                       f"[run]\nk_max = 3\nout_dir = {out}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [data] path:") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_job_count_from_the_command_line_is_checked(self, tmp_path):
         out = tmp_path / "runs"
         cfg = tmp_path / "good.cfg"
@@ -377,6 +416,52 @@ gamma = 25.0
             b = read_trace_csv(tmp_path / "parallel" / name)
             assert np.array_equal(a["h_sq_norm"], b["h_sq_norm"])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inputs_are_built_once_in_the_parent(self, tmp_path, monkeypatch, jobs):
+        # a call in a worker would write its own process id
+        log = tmp_path / "builds.txt"
+        for name in ("build_dataset", "initial_stats"):
+            def spy(*args, name=name, real=getattr(harness, name)):
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, spy)
+        cfg = replace(parse_config(GOOD_CONFIG.format(out=tmp_path / "runs")), jobs=jobs)
+        run_experiment(cfg)
+        estimate_complexity(replace(cfg, algorithms=("spider-em",)), 1e30, [100, 200],
+                            trials=3, max_epochs=2)
+        me = os.getpid()
+        assert log.read_text().splitlines() == [f"build_dataset {me}",
+                                                f"initial_stats {me}"] * 3
+
+    def test_workers_run_on_read_only_copies_of_the_parents_inputs(self, tmp_path,
+                                                                   monkeypatch):
+        built, real_build, real_run = [], harness.build_dataset, harness.run_single
+
+        def build(cfg):
+            built.append(real_build(cfg))
+            return built[-1]
+
+        def spy(cfg, algo, seed, model, data, s_init):
+            (tmp_path / f"{algo}-{seed}.txt").write_text(" ".join([
+                str(os.getpid()), str(data.values.flags.writeable),
+                data.values.tobytes().hex(), s_init.tobytes().hex()]))
+            return real_run(cfg, algo, seed, model, data, s_init)
+
+        monkeypatch.setattr(harness, "build_dataset", build)
+        monkeypatch.setattr(harness, "run_single", spy)
+        cfg = replace(parse_config(GOOD_CONFIG.format(out=tmp_path / "runs")), jobs=2)
+        run_experiment(cfg)
+        data, = built
+        s_init = initial_stats(cfg, build_model(cfg, data), data)
+        seen = [p.read_text().split() for p in tmp_path.glob("*.txt")]
+        assert len(seen) == 4
+        for pid, writeable, values, start in seen:
+            assert int(pid) != os.getpid() and writeable == "False"
+            assert values == data.values.tobytes().hex()
+            assert start == s_init.tobytes().hex()
+
 
 class TestComplexity:
     def test_immediate_hit_with_infinite_tolerance(self):
@@ -395,6 +480,25 @@ class TestComplexity:
         assert len(summary) == 3
         trials = est.trials_csv().splitlines()
         assert len(trials) == 5
+
+    def test_trials_on_workers_match_serial_byte_for_byte(self, tmp_path, monkeypatch):
+        real = harness.run_single
+
+        def spy(*args):
+            (tmp_path / str(os.getpid())).touch()
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_single", spy)
+        cfg = ExperimentConfig(algorithms=("spider-em",), gamma=0.01)
+        # every n = 100 trial misses and every n = 300 trial hits
+        serial = estimate_complexity(cfg, 1e-3, [100, 300], trials=3, max_epochs=2)
+        assert [p.name for p in tmp_path.iterdir()] == [str(os.getpid())]
+        pooled = estimate_complexity(replace(cfg, jobs=2), 1e-3, [100, 300], trials=3,
+                                     max_epochs=2)
+        assert len(list(tmp_path.iterdir())) > 1   # workers ran trials
+        assert [r["hits"] for r in serial.rows] == [0, 3]
+        assert pooled.summary_csv() == serial.summary_csv()
+        assert pooled.trials_csv() == serial.trials_csv()
 
     def test_hitting_cost_formula_nested(self, monkeypatch):
         # k_ce and k_opt must equal the trace's CE and M-step counters at the
