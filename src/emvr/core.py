@@ -61,6 +61,7 @@ class Dataset:
     every call.  Read-only caches computed on first use: ``mean``,
     ``column_sums``, the centred rows ``centred`` (``values - mean``, one
     ``n x d`` copy that every full pooled pass reads) and ``centred_moment``.
+    :meth:`gather` keeps the rows of the last read-only batch it gathered.
     """
 
     def __init__(self, values, provenance: str = "", labels=None):
@@ -84,6 +85,7 @@ class Dataset:
         m2 = (m2 + m2.T) / 2.0
         m2.setflags(write=False)
         self.second_moment = m2
+        self._gathered = None
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -115,6 +117,24 @@ class Dataset:
         c = (c + c.T) / 2.0
         c.setflags(write=False)
         return c
+
+    def gather(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, centred rows)`` of the index array ``indices``, the second
+        ``rows - mean``.  For a read-only array that owns its data, such as
+        every estimator's batch, both are read-only and kept, keyed by the
+        array's identity, until the next such array is gathered: the passes on
+        one batch gather it once.  Any other array, a view or a writeable one,
+        is gathered afresh."""
+        memo = self._gathered
+        if memo is not None and memo[0] is indices:
+            return memo[1], memo[2]
+        rows = self.values.take(indices, axis=0)
+        xc = rows - self.mean
+        if indices.base is None and not indices.flags.writeable:
+            rows.setflags(write=False)
+            xc.setflags(write=False)
+            self._gathered = indices, rows, xc
+        return rows, xc
 
     @property
     def n(self) -> int:

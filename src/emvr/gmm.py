@@ -44,6 +44,7 @@ inverse, so a scalar run never loads it (~150 ms and ~25 MB resident).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -99,9 +100,9 @@ class GmmParams:
         """Freeze and wrap arrays the caller has just made and owns, without the
         copies and checks of ``__post_init__``; they must already pass them."""
         params = object.__new__(cls)
-        for name, arr in (("weights", weights), ("means", means), ("cov_chol", cov_chol)):
+        for arr in (weights, means, cov_chol):
             arr.setflags(write=False)
-            object.__setattr__(params, name, arr)
+        params.__dict__.update(weights=weights, means=means, cov_chol=cov_chol)
         return params
 
     @property
@@ -151,25 +152,36 @@ def _chol_inv(params: GmmParams) -> np.ndarray:
     return li
 
 
+def _terms(params: GmmParams, li: np.ndarray, center: np.ndarray) -> tuple:
+    """``(center, B, bias)`` of :func:`_logit_terms`, from the inverse factor ``li``;
+    a zero weight's log is -inf."""
+    zmu = (params.means - center) @ li.T
+    log_norm = -0.5 * params.dim * _LOG_2PI - np.log(params.cov_chol.diagonal()).sum()
+    bias = np.log(params.weights) + log_norm - 0.5 * np.einsum("gp,gp->g", zmu, zmu)
+    return center, zmu @ li, bias
+
+
 def _logit_terms(params: GmmParams, center: np.ndarray):
     """``(B, bias)``: ``log(alpha_l N(mu_l, Sigma)[y]) = (B (y - center) + bias)_l - r(y)``,
     ``B = (Sigma^{-1}(mu - center)^T)^T``, ``r(y) = |L^{-1}(y - center)|^2 / 2``; cached
-    per instance for the one centre array they were made with, checked by identity."""
+    per instance for the one centre array they were made with, checked by identity.
+    A pooled model's M-step caches them for its data's mean."""
     cached = params.__dict__.get("_logit_terms")
     if cached is None or cached[0] is not center:
-        li = _chol_inv(params)
-        zmu = (params.means - center) @ li.T
-        log_norm = -0.5 * params.dim * _LOG_2PI - np.log(np.diag(params.cov_chol)).sum()
         with np.errstate(divide="ignore"):
-            bias = np.log(params.weights) + log_norm - 0.5 * np.einsum("gp,gp->g", zmu, zmu)
-        cached = (center, zmu @ li, bias)
+            cached = _terms(params, _chol_inv(params), center)
         object.__setattr__(params, "_logit_terms", cached)
     return cached[1:]
 
 
 def _lift(post: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``sum_i r_i (x) (1, y_i)`` over ``rows`` with ``(g, m)`` posteriors ``post``."""
-    return np.concatenate([post.sum(axis=1), (post @ rows).reshape(-1)])
+    """``sum_i r_i (x) (1, y_i)`` over ``rows`` with ``(g, m)`` posteriors ``post``,
+    written into one new array."""
+    g = post.shape[0]
+    out = np.empty(g * (1 + rows.shape[1]))
+    post.sum(axis=1, out=out[:g])
+    np.matmul(post, rows, out=out[g:].reshape(g, -1))
+    return out
 
 
 def _softmax(B, bias, xc, want_lse, a=None, mx=None, denom=None, lse=None):
@@ -190,13 +202,10 @@ def _gmm_pass(params: GmmParams, data: Dataset, indices, want_lse: bool = False)
     """The one pooled E-step over the rows ``indices`` (all rows if ``None``):
     ``(rows, post, lse)``, the rows gathered once, their ``(g, m)`` posteriors and,
     if wanted, each row's log-sum-exp of the logits, its log-likelihood plus r.
-    A full pass reads the dataset's cached centred rows; a batch centres its own.
+    A full pass reads the dataset's cached centred rows, a batch those of
+    :meth:`Dataset.gather`.
     A large pass runs :func:`_softmax` in two row parts (``core._split_rows``)."""
-    if indices is None:
-        rows, xc = data.values, data.centred
-    else:
-        rows = data.values[indices]
-        xc = rows - data.mean
+    rows, xc = (data.values, data.centred) if indices is None else data.gather(indices)
     B, bias = _logit_terms(params, data.mean)
     g, m = B.shape[0], xc.shape[0]
     mid = _split_point(m, g * m)
@@ -217,13 +226,17 @@ def _pooled_cov(second_moment: np.ndarray, w: np.ndarray, means: np.ndarray) -> 
     return second_moment - (means * w[:, None]).T @ means
 
 
-def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
+def gmm_m_step(s: np.ndarray, second_moment: np.ndarray,
+               center: np.ndarray | None = None) -> GmmParams:
     """Unique minimizer of the complete-data objective at statistics ``s``.
 
     ``second_moment`` is the dataset's ``(1/n) sum_i y_i y_i^T``; the fitted
     covariance is ``second_moment - sum_l s_l mu_l mu_l^T`` and must be
     positive definite.  Raises :class:`DomainError` for empty components or
-    a degenerate covariance.
+    a degenerate covariance.  Given ``center``, the data mean that the passes
+    centre on, the parameters come with the inverse factor and logit terms
+    that :func:`_logit_terms` would build, bitwise, so a pass finds them
+    cached: one parameter set is built in one call, under one ``errstate``.
     """
     second_moment = np.asarray(second_moment, dtype=np.float64)
     p = second_moment.shape[0]
@@ -232,26 +245,31 @@ def gmm_m_step(s: np.ndarray, second_moment: np.ndarray) -> GmmParams:
     if s.ndim != 1 or rem != 0:
         raise ValueError(f"statistic shape {s.shape} incompatible with p={p}")
     masses, moments = s[:g], s[g:].reshape(g, p)
-    bad = np.flatnonzero(masses <= EMPTY_MASS_FLOOR)
-    if bad.size:
-        raise DomainError(f"component {bad[0]} has mass {masses[bad[0]]:.3e}",
+    if (masses <= EMPTY_MASS_FLOOR).any():
+        bad = np.flatnonzero(masses <= EMPTY_MASS_FLOOR)[0]
+        raise DomainError(f"component {bad} has mass {masses[bad]:.3e}",
                           violation="empty component")
     # overflow shows as a non-finite mass sum or covariance, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         total = masses.sum()
         means = moments / masses[:, None]
         cov = _pooled_cov(second_moment, masses, means)
-    # what GmmParams would check: a finite mass sum gives unit-sum weights, a finite
-    # covariance finite means; its Cholesky factor is lower triangular, positive diagonal
-    if not (np.isfinite(total) and np.isfinite(cov).all()):
-        raise DomainError("mass sum or implied covariance is not finite",
-                          violation="non-finite")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DomainError("implied covariance is not positive definite",
-                          violation="degenerate covariance") from None
-    return GmmParams._trusted(masses / total, means, chol)
+        # what GmmParams would check: a finite mass sum gives unit-sum weights, a finite
+        # covariance finite means; its Cholesky factor is lower triangular, positive
+        # diagonal
+        if not (math.isfinite(total) and np.isfinite(cov).all()):
+            raise DomainError("mass sum or implied covariance is not finite",
+                              violation="non-finite")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise DomainError("implied covariance is not positive definite",
+                              violation="degenerate covariance") from None
+        params = GmmParams._trusted(masses / total, means, chol)
+        if center is not None:
+            li, _ = _dtrtri()(chol, lower=1)   # the diagonal is positive
+            params.__dict__.update(_chol_inv=li, _logit_terms=_terms(params, li, center))
+    return params
 
 
 def gmm_phi(params: GmmParams) -> np.ndarray:
@@ -275,23 +293,29 @@ class PooledGmm(Model):
 
     The model is bound to a dataset's second moment at construction so the
     abstract ``m_step(s)`` signature stays closed over it; the pure-function
-    form :func:`gmm_m_step` takes the moment explicitly.
+    form :func:`gmm_m_step` takes the moment explicitly.  A model built
+    :meth:`from_data` is bound to the data's mean as well, and its M-step
+    builds each parameter set's logit terms for it.
     """
 
-    def __init__(self, n_components: int, dim: int, second_moment: np.ndarray):
+    def __init__(self, n_components: int, dim: int, second_moment: np.ndarray,
+                 center: np.ndarray | None = None):
         if n_components < 1 or dim < 1:
             raise ValueError("need n_components >= 1 and dim >= 1")
         second_moment = np.asarray(second_moment, dtype=np.float64)
         if second_moment.shape != (dim, dim):
             raise ValueError("second_moment must be dim x dim")
+        if center is not None and np.shape(center) != (dim,):
+            raise ValueError("center must have length dim")
         self.g = int(n_components)
         self.p = int(dim)
         self.second_moment = second_moment
+        self.center = center
         _dtrtri()   # load LAPACK with the model, not in its first M-step
 
     @classmethod
     def from_data(cls, n_components: int, data: Dataset) -> "PooledGmm":
-        return cls(n_components, data.dim, data.second_moment)
+        return cls(n_components, data.dim, data.second_moment, data.mean)
 
     @property
     def stat_dim(self) -> int:
@@ -309,14 +333,16 @@ class PooledGmm(Model):
     def lift_sum(self, data: Dataset, indices, w: np.ndarray) -> np.ndarray:
         # the pass's (g, m) layout, so a full store lifts bitwise as full_stats
         return _lift(np.ascontiguousarray(w.T),
-                     data.values if indices is None else data.values[indices])
+                     data.values if indices is None else data.gather(indices)[0])
 
     def batch_mean(self, data: Dataset, indices, params: GmmParams) -> np.ndarray:
         rows, post = _gmm_pass(params, data, indices)[:2]
-        return _lift(post, rows) / rows.shape[0]
+        sbar = _lift(post, rows)
+        sbar /= rows.shape[0]
+        return sbar
 
     def m_step(self, s: np.ndarray) -> GmmParams:
-        return gmm_m_step(s, self.second_moment)
+        return gmm_m_step(s, self.second_moment, self.center)
 
     def penalized_nll(self, data: Dataset, params: GmmParams) -> float:
         return self.checkpoint_stats(data, params)[1]
@@ -327,7 +353,8 @@ class PooledGmm(Model):
     def checkpoint_stats(self, data: Dataset, params: GmmParams,
                          want_nll: bool = True):
         rows, post, lse = _gmm_pass(params, data, None, want_lse=want_nll)
-        sbar = _lift(post, rows) / data.n
+        sbar = _lift(post, rows)
+        sbar /= data.n
         if not want_nll:
             return sbar, float("nan")
         nll = 0.5 * np.sum(params.precision() * data.centred_moment) - lse.mean()  # mean r(y)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -364,35 +363,57 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     return cols
 
 
-def _run_one_job(args):
-    cfg, algo, seed, data, s_init = args
+_worker_inputs = None   # a pool worker's (data, s_init), from _start_worker
+
+
+def _start_worker(data: Dataset, s_init: np.ndarray) -> None:
+    """A pool worker's initializer: it keeps the inputs of all its jobs, and its
+    passes on one thread, since the workers use the cores."""
+    global _worker_inputs
+    _serial_passes()
+    _worker_inputs = data, s_init
+
+
+def _run_job(cfg: ExperimentConfig, algo: str, seed: int, data: Dataset,
+             s_init: np.ndarray):
     return algo, seed, run_single(cfg, algo, seed, build_model(cfg, data), data, s_init)
+
+
+def _run_one_job(args):
+    """A pool worker's job ``(cfg, algorithm, seed)``, on the worker's inputs."""
+    return _run_job(*args, *_worker_inputs)
 
 
 def _run_jobs(cfg: ExperimentConfig, data: Dataset, s_init: np.ndarray, seeds):
     """``(algorithm, seed, trace)`` for each of the config's algorithms and each seed,
     in order, each run on ``data`` from ``s_init`` with its own model: serially, or
-    on ``cfg.jobs`` worker processes, each sent its own copy of both."""
-    tasks = [(cfg, algo, seed, data, s_init) for algo in cfg.algorithms for seed in seeds]
-    pool = None
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        # the workers use the cores, so each keeps its passes on one thread
-        pool = ProcessPoolExecutor(min(cfg.jobs, len(tasks)), initializer=_serial_passes)
-    with pool or nullcontext():
-        yield from (pool.map if pool else map)(_run_one_job, tasks)
+    on ``cfg.jobs`` worker processes, each given both once, when it starts."""
+    tasks = [(cfg, algo, seed) for algo in cfg.algorithms for seed in seeds]
+    if cfg.jobs == 1:
+        yield from (_run_job(*task, data, s_init) for task in tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(cfg.jobs, len(tasks)), initializer=_start_worker,
+                             initargs=(data, s_init)) as pool:
+        yield from pool.map(_run_one_job, tasks)
 
 
-def run_experiment(cfg: ExperimentConfig, progress=None) -> dict:
+def build_inputs(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
+    """``(data, s_init)``: the dataset and start that every run of ``cfg`` shares."""
+    data = build_dataset(cfg)
+    return data, initial_stats(cfg, build_model(cfg, data), data)
+
+
+def run_experiment(cfg: ExperimentConfig, progress=None, inputs=None) -> dict:
     """Execute the config's (algorithm, seed) grid and write trace CSVs.
 
     Returns a summary dict with per-run statuses and the divergence rate.
-    The dataset and start are built once, before ``out_dir`` is made.  Every
-    algorithm shares the per-seed minibatch stream; the SAGA-style method
-    draws its second stream from an independent seed sequence.
+    The dataset and start, ``inputs`` if given as :func:`build_inputs` returns
+    them, are built once, before ``out_dir`` is made.  Every algorithm shares
+    the per-seed minibatch stream; the SAGA-style method draws its second
+    stream from an independent seed sequence.
     """
-    data = build_dataset(cfg)
-    s_init = initial_stats(cfg, build_model(cfg, data), data)
+    data, s_init = build_inputs(cfg) if inputs is None else inputs
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results = []
@@ -530,8 +551,7 @@ def estimate_complexity(cfg: ExperimentConfig, epsilon: float, n_grid, trials: i
                       epochs=None, epsilon=epsilon, metric="update", snapshot="none",
                       warm_epochs=0, algorithms=(algo,))
         validate_config(sub)
-        data = build_dataset(sub)
-        s_init = initial_stats(sub, build_model(sub, data), data)
+        data, s_init = build_inputs(sub)
         recs = []
         for _, trial, trace in _run_jobs(sub, data, s_init, range(trials)):
             if trace.hit is not None:

@@ -1,12 +1,15 @@
 import errno
 import os
 import struct
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 
+from emvr import Dataset, cli
 from emvr import data as data_module
 from emvr import harness
 from emvr.cli import main as cli_main
@@ -462,6 +465,37 @@ gamma = 25.0
             assert values == data.values.tobytes().hex()
             assert start == s_init.tobytes().hex()
 
+    def test_each_worker_gets_the_inputs_once_not_with_every_job(self, tmp_path,
+                                                                  monkeypatch):
+        # a dataset unpickled in a worker, and each job, log their process ids
+        unpickled, jobs = tmp_path / "unpickled.txt", tmp_path / "jobs.txt"
+        monkeypatch.setattr(Dataset, "__reduce__",
+                            lambda self: (_logged_dataset, (str(unpickled), self.values)))
+        real = harness.run_single
+
+        def spy(*args):
+            _log_pid(jobs)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_single", spy)
+        cfg = replace(parse_config(GOOD_CONFIG.format(out=tmp_path / "runs")), jobs=2)
+        run_experiment(cfg)
+        ran = Counter(jobs.read_text().split())
+        # four jobs on two workers: one worker ran at least two
+        assert sum(ran.values()) == 4 and str(os.getpid()) not in ran
+        got = Counter(unpickled.read_text().split()) if unpickled.exists() else Counter()
+        assert set(got) <= set(ran) and all(count == 1 for count in got.values()), (got, ran)
+
+
+def _log_pid(path) -> None:
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+def _logged_dataset(path, values):
+    _log_pid(path)
+    return Dataset(values)
+
 
 class TestComplexity:
     def test_immediate_hit_with_infinite_tolerance(self):
@@ -676,6 +710,30 @@ class TestCli:
                          "--init", init, "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
         err = capsys.readouterr().err
         assert ("--init kmeans" in err) == warns, err
+
+    def test_compare_builds_its_inputs_once_and_warns_before_any_run(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        starts, warned = [], []
+        real_start, real_run = harness.initial_stats, harness.run_single
+
+        def start(*args):
+            starts.append(args)
+            return real_start(*args)
+
+        def run(*args):
+            warned.append("--init kmeans" in sys.stderr.getvalue())
+            return real_run(*args)
+
+        for module in (harness, cli):   # wherever the command looks it up
+            if hasattr(module, "initial_stats"):
+                monkeypatch.setattr(module, "initial_stats", start)
+        monkeypatch.setattr(harness, "run_single", run)
+        # a random-responsibility start of 12 components at n = 500 warns (0.08)
+        assert cli_main(["compare", "--algos", "em,online-em", "--epochs", "1",
+                         "--seeds", "2", "--n", "500", "--components", "12", "--dim",
+                         "20", "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+        assert len(starts) == 1
+        assert warned == [True] * 4
 
     def test_compare_needs_two_seeds_before_writing(self, tmp_path, capsys):
         out = tmp_path / "cmp"
